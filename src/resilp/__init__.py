@@ -19,7 +19,6 @@ from .closest_string import (
 from .engine import (
     ResiliencySystem,
     ResiliencyVerdict,
-    all_failing_scenarios,
     check_resiliency,
     enumerate_scenarios,
     substitute,
@@ -76,7 +75,6 @@ __all__ = [
     "ValidationError",
     "VarBounds",
     "VarId",
-    "all_failing_scenarios",
     "check_resiliency",
     "column_types",
     "enumerate_scenarios",

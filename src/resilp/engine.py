@@ -21,7 +21,7 @@ values; variable names stay unique across the whole system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .errors import BudgetError, ScenarioError, ValidationError
 from .ilp import (
@@ -92,18 +92,6 @@ class ResiliencySystem:
     def z_system(self) -> LinearSystem:
         return LinearSystem(self.z_vars, self.rows_z)
 
-    def x_var(self, name: str) -> VarId:
-        for vid, _ in self.x_vars:
-            if vid.name == name:
-                return vid
-        raise KeyError(name)
-
-    def z_var(self, name: str) -> VarId:
-        for vid, _ in self.z_vars:
-            if vid.name == name:
-                return vid
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class ResiliencyVerdict:
@@ -173,18 +161,3 @@ def check_resiliency(
             return ResiliencyVerdict(False, scenario, checked)
     return ResiliencyVerdict(True, None, checked)
 
-
-def all_failing_scenarios(
-    system: ResiliencySystem, *, max_scenarios: Optional[int] = 1_000_000
-) -> Tuple[List[IntAssignment], int]:
-    """Exhaustive variant: every failing scenario, plus the total scenario
-    count.  Used by the CLI's exhaustive mode."""
-    failures: List[IntAssignment] = []
-    checked = 0
-    for scenario in enumerate_scenarios(system):
-        checked += 1
-        if max_scenarios is not None and checked > max_scenarios:
-            raise BudgetError(f"scenario budget exceeded ({max_scenarios})")
-        if solve_feasibility(substitute(system, scenario)) is None:
-            failures.append(scenario)
-    return failures, checked

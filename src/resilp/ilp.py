@@ -2,10 +2,13 @@
 
 Variables live in finite integer boxes.  Rows are sparse linear
 constraints with ``<=`` or ``=`` relations and :class:`fractions.Fraction`
-coefficients; no floating point enters the core.  Feasibility is decided
-by a depth-first branch-and-prune search over variables in index order,
-with row-based interval propagation: a branch dies as soon as some row's
-minimal achievable left-hand side exceeds its right-hand side.
+coefficients; no floating point enters the core.  The search scales each
+row by the LCM of its denominators, so it works on integers only, and reads
+each ``=`` row as a pair of ``<=`` rows.  Feasibility is decided by a
+depth-first branch-and-prune search over variables in index order, run on
+an explicit stack rather than by recursion, with row-based interval
+propagation: a branch dies as soon as some row's minimal achievable
+left-hand side exceeds its right-hand side.
 
 The same search, run to exhaustion, enumerates every feasible point in
 lexicographic order of variable values; the resiliency engine uses that
@@ -22,10 +25,6 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, UnboundedVarError, ValidationError
-
-# The exact scalar type used throughout.  Fraction already keeps the
-# canonical form this package relies on: reduced, positive denominator.
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -159,15 +158,6 @@ class LinearSystem:
                 bad = ", ".join(sorted(v.name for v in unknown))
                 raise ValidationError(f"row {r} references unknown variables: {bad}")
 
-    def var(self, name: str) -> VarId:
-        for vid, _ in self.variables:
-            if vid.name == name:
-                return vid
-        raise KeyError(name)
-
-    def bounds_of(self, vid: VarId) -> VarBounds:
-        return self.variables[vid.index][1]
-
 
 @dataclass(frozen=True)
 class IntAssignment:
@@ -238,41 +228,36 @@ def evaluate(system: LinearSystem, assignment: IntAssignment) -> Optional[Violat
     return None
 
 
-def desugar_eq(system: LinearSystem) -> LinearSystem:
-    """Replace every ``=`` row by the equivalent pair of ``<=`` rows.
-
-    The feasible set is preserved exactly; row order keeps each pair
-    adjacent where the equality stood.
-    """
-    rows = []
-    for row in system.rows:
-        if row.rel is Rel.EQ:
-            rows.append(LinearRow(row.coeffs, Rel.LEQ, row.rhs))
-            rows.append(
-                LinearRow({v: -c for v, c in row.coeffs.items()}, Rel.LEQ, -row.rhs)
-            )
-        else:
-            rows.append(row)
-    return LinearSystem(system.variables, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # branch-and-prune search
 # ---------------------------------------------------------------------------
 
 
 def _compiled_rows(system: LinearSystem):
-    """Rows as (items, rhs) with items = ((var index, coeff), ...), all <=."""
+    """Search rows as (items, rhs) with items = ((var index, coeff), ...).
+
+    This is the one place rows become search rows.  Each row is multiplied
+    by the LCM of its denominators, so every coefficient and right-hand
+    side is an int; a positive scale keeps the same integer points and the
+    same propagation cuts.  Every search row reads ``<=``: an ``=`` row
+    becomes the adjacent pair ``lhs <= rhs`` and ``-lhs <= -rhs``.
+    """
     out = []
     for row in system.rows:
-        items = tuple(
-            sorted(((vid.index, c) for vid, c in row.coeffs.items() if c != 0))
+        scale = math.lcm(
+            row.rhs.denominator, *(c.denominator for c in row.coeffs.values())
         )
-        if row.rel is Rel.LEQ:
-            out.append((items, row.rhs))
-        else:
-            out.append((items, row.rhs))
-            out.append((tuple((j, -c) for j, c in items), -row.rhs))
+        items = tuple(
+            sorted(
+                (vid.index, c.numerator * (scale // c.denominator))
+                for vid, c in row.coeffs.items()
+                if c != 0
+            )
+        )
+        rhs = row.rhs.numerator * (scale // row.rhs.denominator)
+        out.append((items, rhs))
+        if row.rel is Rel.EQ:
+            out.append((tuple((j, -c) for j, c in items), -rhs))
     return out
 
 
@@ -283,13 +268,14 @@ def _propagate(rows, lo, hi) -> bool:
     endpoints; any value of a variable that would push the row past its
     rhs even with every other variable at its friendliest endpoint is cut.
     Values removed here cannot occur in any feasible completion, so the
-    same propagation is safe during exhaustive enumeration.
+    same propagation is safe during exhaustive enumeration.  Rows come from
+    :func:`_compiled_rows`, so all arithmetic is on ints.
     """
     changed = True
     while changed:
         changed = False
         for items, rhs in rows:
-            minlhs = Fraction(0)
+            minlhs = 0
             for j, c in items:
                 minlhs += c * (lo[j] if c > 0 else hi[j])
             if minlhs > rhs:
@@ -298,20 +284,29 @@ def _propagate(rows, lo, hi) -> bool:
                 cmin = c * (lo[j] if c > 0 else hi[j])
                 slack = rhs - (minlhs - cmin)
                 if c > 0:
-                    cap = math.floor(slack / c)
+                    cap = slack // c
                     if cap < hi[j]:
                         hi[j] = cap
                         if lo[j] > hi[j]:
                             return False
                         changed = True
                 else:
-                    floor_ = math.ceil(slack / c)
+                    floor_ = -(slack // -c)
                     if floor_ > lo[j]:
                         lo[j] = floor_
                         if lo[j] > hi[j]:
                             return False
                         changed = True
     return True
+
+
+def _branches(lo, hi, k):
+    """Child boxes of (lo, hi) that fix variable k, in ascending value order."""
+    for v in range(lo[k], hi[k] + 1):
+        nlo = lo.copy()
+        nhi = hi.copy()
+        nlo[k] = nhi[k] = v
+        yield nlo, nhi
 
 
 def iter_feasible(system: LinearSystem) -> Iterator[IntAssignment]:
@@ -329,20 +324,26 @@ def iter_feasible(system: LinearSystem) -> Iterator[IntAssignment]:
     hi0 = [bounds.upper for _, bounds in system.variables]
     n = len(varids)
 
-    def walk(lo, hi):
-        if not _propagate(rows, lo, hi):
-            return
-        k = next((i for i in range(n) if lo[i] < hi[i]), None)
-        if k is None:
-            yield IntAssignment({varids[i]: lo[i] for i in range(n)})
-            return
-        for v in range(lo[k], hi[k] + 1):
-            nlo = lo.copy()
-            nhi = hi.copy()
-            nlo[k] = nhi[k] = v
-            yield from walk(nlo, nhi)
+    def search():
+        # One lazy child iterator per open level: the top one yields the
+        # next sibling to visit, so points come out in lexicographic order
+        # and only the boxes on the current path are held in memory.
+        stack = [iter([(lo0, hi0)])]
+        while stack:
+            box = next(stack[-1], None)
+            if box is None:
+                stack.pop()
+                continue
+            lo, hi = box
+            if not _propagate(rows, lo, hi):
+                continue
+            k = next((i for i in range(n) if lo[i] < hi[i]), None)
+            if k is None:
+                yield IntAssignment({varids[i]: lo[i] for i in range(n)})
+            else:
+                stack.append(_branches(lo, hi, k))
 
-    return walk(lo0, hi0)
+    return search()
 
 
 def solve_feasibility(system: LinearSystem) -> Optional[IntAssignment]:

@@ -101,7 +101,9 @@ def resiliency_to_dict(system: ResiliencySystem) -> dict:
     """Plain-system document plus the adversarial name list.
 
     Output variable order is the x block then the z block; row order is
-    rows_x, rows_xz, rows_z.  Ingesting the result reproduces the blocks.
+    rows_x, rows_xz, rows_z.  Ingesting the result reproduces the blocks,
+    except that a z-row with an empty coefficient map reads back as an
+    x-row (docs/formats.md).
     """
     variables = [_variable_to_dict(v, b) for v, b in system.x_vars]
     variables += [_variable_to_dict(v, b) for v, b in system.z_vars]

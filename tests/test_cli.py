@@ -165,6 +165,23 @@ def test_check_scenario_budget_exits_2(tmp_path, capsys):
     assert code == 2 and "budget" in err
 
 
+def test_check_raw_wide_system_exits_0(tmp_path, capsys):
+    doc = {
+        "variables": [
+            {"name": f"x{i}", "lower": 0, "upper": 1} for i in range(1200)
+        ],
+        "zvars": [],
+        "rows": [],
+    }
+    code, out, err = run(capsys, "check", "--raw", write(tmp_path, doc))
+    assert code == 0, err
+    assert json.loads(out)["verdict"] == {
+        "resilient": True,
+        "witness": None,
+        "scenarios_checked": 1,
+    }
+
+
 def test_oracle_subcommand_exit_codes(tmp_path, capsys):
     code_yes, out_yes, _ = run(
         capsys, "oracle", "--problem", "sched", write(tmp_path, SCHED_YES, "y.json")

@@ -14,7 +14,6 @@ import pytest
 
 from resilp.engine import (
     ResiliencySystem,
-    all_failing_scenarios,
     check_resiliency,
     enumerate_scenarios,
     substitute,
@@ -145,7 +144,8 @@ def test_substitute_folds_adversary_into_rhs():
         [("z", 0, 3)],
         rows_xz=[({"x": 2, "z": -3}, Rel.LEQ, 4)],
     )
-    scenario = IntAssignment({sys_.z_var("z"): 2})
+    ((z, _),) = sys_.z_vars
+    scenario = IntAssignment({z: 2})
     sub = substitute(sys_, scenario)
     assert len(sub.rows) == 1
     row = sub.rows[0]
@@ -160,10 +160,11 @@ def test_substitute_rejects_inadmissible_scenarios():
         [("z", 0, 3)],
         rows_z=[({"z": 1}, Rel.LEQ, 1)],
     )
+    ((z, _),) = sys_.z_vars
     with pytest.raises(ScenarioError):
-        substitute(sys_, IntAssignment({sys_.z_var("z"): 2}))  # breaks z-row
+        substitute(sys_, IntAssignment({z: 2}))  # breaks z-row
     with pytest.raises(ScenarioError):
-        substitute(sys_, IntAssignment({sys_.z_var("z"): 9}))  # breaks box
+        substitute(sys_, IntAssignment({z: 9}))  # breaks box
     with pytest.raises(ScenarioError):
         substitute(sys_, IntAssignment({VarId(0, "other"): 0}))  # wrong domain
 
@@ -275,10 +276,9 @@ def test_tightening_the_adversary_never_breaks_resilience():
         if not sys_.z_vars or not check_resiliency(sys_).resilient:
             continue
         checked += 1
-        znames = [vid.name for vid, _ in sys_.z_vars]
-        name = rng.choice(znames)
+        zids = [vid for vid, _ in sys_.z_vars]
         extra = LinearRow(
-            {sys_.z_var(name): rng.choice([-2, -1, 1, 2])},
+            {rng.choice(zids): rng.choice([-2, -1, 1, 2])},
             Rel.LEQ,
             rng.randint(-2, 2),
         )
@@ -352,12 +352,22 @@ def test_exhaustive_mode_collects_every_failure():
         [("z", 0, 3)],
         rows_xz=[({"x": 1, "z": 1}, Rel.LEQ, 2)],  # z >= 2 kills x
     )
-    failures, checked = all_failing_scenarios(sys_)
-    assert checked == 4
+    scenarios = list(enumerate_scenarios(sys_))
+    failures = [
+        s for s in scenarios if solve_feasibility(substitute(sys_, s)) is None
+    ]
+    assert len(scenarios) == 4
     assert [f.by_name()["z"] for f in failures] == [3]
     verdict = check_resiliency(sys_)
     assert verdict.resilient is False
     assert verdict.witness_z.by_name()["z"] == 3
+
+
+def test_wide_x_block_needs_no_recursion():
+    sys_ = _rsys([(f"x{i}", 0, 1) for i in range(1200)], [])
+    verdict = check_resiliency(sys_)
+    assert verdict.resilient
+    assert verdict.scenarios_checked == 1
 
 
 def test_scenario_budget_raises():

@@ -12,6 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from resilp.engine import (
+    ResiliencySystem,
+    check_resiliency,
+    enumerate_scenarios,
+    substitute,
+)
 from resilp.errors import DomainError, UnboundedVarError, ValidationError
 from resilp.ilp import (
     IntAssignment,
@@ -20,7 +26,6 @@ from resilp.ilp import (
     Rel,
     VarBounds,
     VarId,
-    desugar_eq,
     evaluate,
     format_rational,
     iter_feasible,
@@ -28,6 +33,7 @@ from resilp.ilp import (
     parse_rational,
     solve_feasibility,
 )
+from resilp.oracles import forall_exists_oracle
 
 
 def _brute_points(system):
@@ -67,13 +73,15 @@ def _system(var_specs, row_specs):
 
 def test_evaluate_satisfies_simple_row():
     sys_ = _system([("x", 0, 5)], [({"x": 1}, Rel.LEQ, 3)])
-    a = IntAssignment({sys_.var("x"): 2})
+    ((x, _),) = sys_.variables
+    a = IntAssignment({x: 2})
     assert evaluate(sys_, a) is None
 
 
 def test_evaluate_reports_first_violated_row():
     sys_ = _system([("x", 0, 5)], [({"x": 1}, Rel.LEQ, 3)])
-    a = IntAssignment({sys_.var("x"): 4})
+    ((x, _),) = sys_.variables
+    a = IntAssignment({x: 4})
     violation = evaluate(sys_, a)
     assert violation is not None and violation.row == 0
 
@@ -83,27 +91,27 @@ def test_evaluate_row_order_decides_report():
         [("x", 0, 5)],
         [({"x": 1}, Rel.LEQ, 10), ({"x": 1}, Rel.LEQ, 1), ({"x": 1}, Rel.LEQ, 2)],
     )
-    violation = evaluate(sys_, IntAssignment({sys_.var("x"): 4}))
+    ((x, _),) = sys_.variables
+    violation = evaluate(sys_, IntAssignment({x: 4}))
     assert violation.row == 1
 
 
 def test_evaluate_reports_bound_when_rows_hold():
     sys_ = _system([("x", 0, 3)], [({"x": 1}, Rel.LEQ, 100)])
-    violation = evaluate(sys_, IntAssignment({sys_.var("x"): 7}))
+    ((x, _),) = sys_.variables
+    violation = evaluate(sys_, IntAssignment({x: 7}))
     assert violation.row is None
-    assert violation.var == sys_.var("x")
+    assert violation.var == x
 
 
 def test_evaluate_domain_must_match_exactly():
     sys_ = _system([("x", 0, 3), ("y", 0, 3)], [])
+    (x, _), (y, _) = sys_.variables
     with pytest.raises(DomainError):
-        evaluate(sys_, IntAssignment({sys_.var("x"): 1}))
+        evaluate(sys_, IntAssignment({x: 1}))
     stray = VarId(7, "stray")
     with pytest.raises(DomainError):
-        evaluate(
-            sys_,
-            IntAssignment({sys_.var("x"): 1, sys_.var("y"): 1, stray: 0}),
-        )
+        evaluate(sys_, IntAssignment({x: 1, y: 1, stray: 0}))
 
 
 def test_solve_finds_the_unique_point():
@@ -205,20 +213,89 @@ def test_enumeration_matches_brute_exactly():
         assert sorted(brute) == mine  # same set, and lexicographic order
 
 
-def test_eq_desugaring_preserves_the_bit():
-    rng = random.Random(0xBEEF)
-    for _ in range(150):
-        sys_ = _random_system(rng)
-        plain = solve_feasibility(sys_) is not None
-        sugar_free = solve_feasibility(desugar_eq(sys_)) is not None
-        assert plain == sugar_free
+def _random_rational_resiliency(rng, max_vars=2, max_width=3, max_rows=3):
+    """Partitioned system whose coefficients and right-hand sides are p/q
+    with q in 1..6, with x, z and mixed rows and about 25% ``=`` rows.
+
+    Half of the ``=`` rows get the row's value at a random box point as
+    their right-hand side, so equalities are not almost always infeasible.
+    """
+
+    def block(prefix):
+        specs = []
+        for i in range(rng.randint(0, max_vars)):
+            lo = rng.randint(-2, 1)
+            specs.append((f"{prefix}{i}", lo, lo + rng.randint(0, max_width)))
+        return make_vars(specs)
+
+    def frac(span):
+        q = rng.randint(1, 6)
+        return Fraction(rng.randint(-span * q, span * q), q)
+
+    def row(support):
+        coeffs = {}
+        for vid in support:
+            c = frac(3)
+            coeffs[vid] = c if c else Fraction(1, rng.randint(1, 6))
+        rel = Rel.EQ if rng.random() < 0.25 else Rel.LEQ
+        if rel is Rel.EQ and rng.random() < 0.5:
+            rhs = sum(
+                c * rng.randint(bounds[v].lower, bounds[v].upper)
+                for v, c in coeffs.items()
+            )
+        else:
+            rhs = frac(4)
+        return LinearRow(coeffs, rel, rhs)
+
+    xv, zv = block("x"), block("z")
+    bounds = dict(xv + zv)
+    xs = [vid for vid, _ in xv]
+    zs = [vid for vid, _ in zv]
+
+    def rows(pick):
+        return tuple(row(pick()) for _ in range(rng.randint(0, max_rows)))
+
+    def some(pool):
+        return rng.sample(pool, rng.randint(1, len(pool)))
+
+    rows_x = rows(lambda: some(xs)) if xs else ()
+    rows_z = rows(lambda: some(zs)) if zs else ()
+    rows_xz = rows(lambda: some(xs) + some(zs)) if xs and zs else ()
+    return ResiliencySystem(xv, zv, rows_x, rows_xz, rows_z)
 
 
-def test_eq_desugaring_preserves_satisfying_points():
-    rng = random.Random(0xD00D)
-    for _ in range(60):
-        sys_ = _random_system(rng, max_vars=3, max_width=3)
-        assert _brute_points(sys_) == _brute_points(desugar_eq(sys_))
+def test_rational_sweep_engine_matches_oracle():
+    rng = random.Random(0xF7AC)
+    outcomes = []
+    for _ in range(400):
+        sys_ = _random_rational_resiliency(rng)
+        verdict = check_resiliency(sys_)
+        assert verdict.resilient == forall_exists_oracle(sys_)
+        outcomes.append(verdict.resilient)
+    assert outcomes.count(True) > 40 and outcomes.count(False) > 40
+
+
+def test_rational_sweep_enumeration_matches_brute():
+    rng = random.Random(0x9A7E)
+    scenario_points = 0
+    for _ in range(400):
+        sys_ = _random_rational_resiliency(rng)
+        zsys = sys_.z_system()
+        assert [a.values for a in iter_feasible(zsys)] == _brute_points(zsys)
+        for scenario in enumerate_scenarios(sys_):
+            sub = substitute(sys_, scenario)
+            points = _brute_points(sub)
+            assert [a.values for a in iter_feasible(sub)] == points
+            scenario_points += len(points)
+    assert scenario_points > 400
+
+
+def test_wide_system_needs_no_recursion():
+    sys_ = LinearSystem(make_vars([(f"v{i}", 0, 1) for i in range(1200)]), ())
+    witness = solve_feasibility(sys_)
+    assert witness is not None
+    assert set(witness.values.values()) == {0}
+    assert len(witness.values) == 1200
 
 
 def test_solver_is_deterministic():
@@ -286,5 +363,6 @@ def test_zero_coefficients_count_as_support_but_not_value():
     )
     row = sys_.rows[0]
     assert {v.name for v in row.support()} == {"x", "y"}
-    a = IntAssignment({sys_.var("x"): 3, sys_.var("y"): 1})
+    (x, _), (y, _) = sys_.variables
+    a = IntAssignment({x: 3, y: 1})
     assert evaluate(sys_, a) is None

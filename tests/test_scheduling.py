@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from resilp.engine import (
-    all_failing_scenarios,
     check_resiliency,
     enumerate_scenarios,
     substitute,
@@ -45,9 +44,11 @@ def test_concentrated_delay_starves_two_machines():
     # loads the delay onto the second machine
     assert verdict.witness_z.by_name() == {"d0": 0, "d1": 2}
     # the mirrored split fails just the same, further down the order
-    failures, _ = all_failing_scenarios(encode(inst))
+    system = encode(inst)
     failing = [
-        tuple(s.by_name()[f"d{i}"] for i in range(2)) for s in failures
+        tuple(s.by_name()[f"d{i}"] for i in range(2))
+        for s in enumerate_scenarios(system)
+        if solve_feasibility(substitute(system, s)) is None
     ]
     assert (2, 0) in failing and (0, 2) in failing
     assert sched_oracle(inst) is False
