@@ -13,6 +13,14 @@ stops at the first failing scenario, which becomes the witness.  An empty
 scenario set (the adversary has no admissible move at all) is vacuously
 resilient with zero scenarios checked.
 
+Each partitioned system is compiled once, on first use, into an integer
+kernel: the x rows and z rows become fixed search rows, and each mixed row
+a scaled x part, a scaled z part and a scaled base right-hand side.  Per
+scenario, ``substitute`` checks admissibility and computes
+rhs = base - B*z in ints, and hands the solver those rows with the
+substituted system; ``evaluate`` runs only to name a rejected scenario's
+first violation.
+
 Each block is indexed densely from zero so that both the z subsystem and
 the substituted x system are well-formed :class:`~resilp.ilp.LinearSystem`
 values; variable names stay unique across the whole system.
@@ -21,15 +29,20 @@ values; variable names stay unique across the whole system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
-from .errors import BudgetError, ScenarioError, ValidationError
+from .errors import BudgetError, DomainError, ScenarioError, ValidationError
 from .ilp import (
     IntAssignment,
     LinearRow,
     LinearSystem,
     VarBounds,
     VarId,
+    _int_row,
+    _Search,
+    _watch,
     evaluate,
     iter_feasible,
     solve_feasibility,
@@ -90,7 +103,62 @@ class ResiliencySystem:
         )
 
     def z_system(self) -> LinearSystem:
-        return LinearSystem(self.z_vars, self.rows_z)
+        """The z block with the z-only rows, built once per system."""
+        return self._kernel.zsys
+
+    @cached_property
+    def _kernel(self) -> "_Kernel":
+        return _Kernel(self)
+
+
+class _Kernel:
+    """A :class:`ResiliencySystem` compiled once for :func:`substitute`.
+
+    The x rows compile to fixed search rows.  Each mixed row compiles to
+    its scaled x items, its scaled z items (the shift) and its scaled base
+    rhs, so a scenario only moves right-hand sides: rhs = base - B*z, in
+    ints.  The watch lists cover the x rows and then the mixed rows, in
+    the layout :func:`substitute` emits them.
+    """
+
+    def __init__(self, system: ResiliencySystem):
+        self.zsys = LinearSystem(system.z_vars, system.rows_z)
+        self.zids = [vid for vid, _ in system.z_vars]
+        self.zkeys = set(self.zids)
+        self.zbox = [(b.lower, b.upper) for _, b in system.z_vars]
+        xforms = [_int_row(row) for row in system.rows_x]
+        self.x_rows = [r for form in xforms for r in form.search_rows(form.rhs)]
+        # (compiled row, x coefficients, relation) per mixed row; the x
+        # coefficients keep zero entries, as the folded LinearRow does.
+        self.mixed = [
+            (
+                _int_row(row, self.zkeys),
+                {vid: c for vid, c in row.coeffs.items() if vid not in self.zkeys},
+                row.rel,
+            )
+            for row in system.rows_xz
+        ]
+        self.watch = _watch(
+            len(system.x_vars), xforms + [form for form, _, _ in self.mixed]
+        )
+
+    def admitted(self, scenario: IntAssignment) -> Optional[list]:
+        """The scenario's z values in index order, or ``None`` when it is
+        not admissible.  Checked in ints: the domain, then the compiled z
+        rows, then the z boxes."""
+        values = scenario.values
+        if values.keys() != self.zkeys:
+            return None
+        z = [values[vid] for vid in self.zids]
+        if all(
+            sum(c * z[j] for j, c in items) <= rhs
+            for items, rhs in self.zsys._search.rows
+        ) and all(
+            (lower is None or lower <= v) and (upper is None or v <= upper)
+            for v, (lower, upper) in zip(z, self.zbox)
+        ):
+            return z
+        return None
 
 
 @dataclass(frozen=True)
@@ -122,23 +190,26 @@ def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSyste
     (zero coefficients included) and relation; only the right-hand side
     moves.  x boxes are unchanged.
     """
-    zsys = system.z_system()
-    try:
-        violation = evaluate(zsys, scenario)
-    except Exception as exc:
-        raise ScenarioError(f"bad scenario domain: {exc}") from exc
-    if violation is not None:
+    kernel = system._kernel
+    z = kernel.admitted(scenario)
+    if z is None:
+        # Only a rejected scenario pays for evaluate, which names the
+        # first violation the way the message has always read.
+        try:
+            violation = evaluate(kernel.zsys, scenario)
+        except DomainError as exc:
+            raise ScenarioError(f"bad scenario domain: {exc}") from exc
         raise ScenarioError(f"scenario is not admissible: {violation}")
-    zset = {vid for vid, _ in system.z_vars}
+    rows = list(kernel.x_rows)
     folded = []
-    for row in system.rows_xz:
-        shift = sum(
-            (c * scenario[vid] for vid, c in row.coeffs.items() if vid in zset),
-            start=0,
-        )
-        xcoeffs = {vid: c for vid, c in row.coeffs.items() if vid not in zset}
-        folded.append(LinearRow(xcoeffs, row.rel, row.rhs - shift))
-    return LinearSystem(system.x_vars, system.rows_x + tuple(folded))
+    for form, xcoeffs, rel in kernel.mixed:
+        rhs = form.rhs - sum(c * z[j] for j, c in form.shift)
+        rows += form.search_rows(rhs)
+        folded.append(LinearRow(xcoeffs, rel, Fraction(rhs, form.scale)))
+    sub = LinearSystem(system.x_vars, system.rows_x + tuple(folded))
+    # Seed the cached compiled form, so the solver does not compile again.
+    vars(sub)["_search"] = _Search(rows, kernel.watch)
+    return sub
 
 
 def check_resiliency(

@@ -2,13 +2,17 @@
 
 Variables live in finite integer boxes.  Rows are sparse linear
 constraints with ``<=`` or ``=`` relations and :class:`fractions.Fraction`
-coefficients; no floating point enters the core.  The search scales each
-row by the LCM of its denominators, so it works on integers only, and reads
-each ``=`` row as a pair of ``<=`` rows.  Feasibility is decided by a
-depth-first branch-and-prune search over variables in index order, run on
-an explicit stack rather than by recursion, with row-based interval
-propagation: a branch dies as soon as some row's minimal achievable
-left-hand side exceeds its right-hand side.
+coefficients; no floating point enters the core.  Each system is compiled
+for the search once, on first use: every row is scaled by the LCM of its
+denominators and divided by the gcd of its coefficients (gcd tightening),
+so the search works on integers only, and each ``=`` row is read as a pair
+of ``<=`` rows.  Feasibility is decided by a depth-first branch-and-prune
+search over variables in index order, run on an explicit stack rather than
+by recursion, with row-based interval propagation: a branch dies as soon
+as some row's minimal achievable left-hand side exceeds its right-hand
+side.  Propagation is queue-driven: a child box starts from its parent's
+fixpoint, so only the rows that read a variable just fixed or tightened
+are scanned again.
 
 The same search, run to exhaustion, enumerates every feasible point in
 lexicographic order of variable values; the resiliency engine uses that
@@ -22,7 +26,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, UnboundedVarError, ValidationError
 
@@ -158,6 +163,19 @@ class LinearSystem:
                 bad = ", ".join(sorted(v.name for v in unknown))
                 raise ValidationError(f"row {r} references unknown variables: {bad}")
 
+    @cached_property
+    def _search(self) -> "_Search":
+        """The system compiled for the search, on first use.
+
+        :func:`resilp.engine.substitute` sets it on the systems it returns,
+        from rows compiled once per partitioned system.
+        """
+        forms = [_int_row(row) for row in self.rows]
+        return _Search(
+            [r for form in forms for r in form.search_rows(form.rhs)],
+            _watch(len(self.variables), forms),
+        )
+
 
 @dataclass(frozen=True)
 class IntAssignment:
@@ -232,36 +250,96 @@ def evaluate(system: LinearSystem, assignment: IntAssignment) -> Optional[Violat
 # branch-and-prune search
 # ---------------------------------------------------------------------------
 
+_FALSE = ((), -1)  # a search row no point meets: 0 <= -1
 
-def _compiled_rows(system: LinearSystem):
-    """Search rows as (items, rhs) with items = ((var index, coeff), ...).
 
-    This is the one place rows become search rows.  Each row is multiplied
-    by the LCM of its denominators, so every coefficient and right-hand
-    side is an int; a positive scale keeps the same integer points and the
-    same propagation cuts.  Every search row reads ``<=``: an ``=`` row
-    becomes the adjacent pair ``lhs <= rhs`` and ``-lhs <= -rhs``.
+class _IntRow:
+    """One row times the LCM of all its denominators, ready to become
+    search rows for any right-hand side.
+
+    ``sides`` holds the row's items ``((var index, coeff), ...)`` over the
+    searched variables, sorted, zero coefficients dropped and divided by
+    their gcd ``g``; an ``=`` row also holds the same items negated.
+    ``shift`` holds the scaled items over the variables that are folded
+    into the right-hand side instead (not divided by ``g``), ``rhs`` the
+    scaled right-hand side and ``scale`` the LCM.  A plain class rather
+    than a dataclass: ``resilp check`` pays for every class it defines at
+    import, and this one needs no generated methods.
     """
-    out = []
-    for row in system.rows:
-        scale = math.lcm(
-            row.rhs.denominator, *(c.denominator for c in row.coeffs.values())
-        )
-        items = tuple(
-            sorted(
-                (vid.index, c.numerator * (scale // c.denominator))
-                for vid, c in row.coeffs.items()
-                if c != 0
-            )
-        )
-        rhs = row.rhs.numerator * (scale // row.rhs.denominator)
-        out.append((items, rhs))
-        if row.rel is Rel.EQ:
-            out.append((tuple((j, -c) for j, c in items), -rhs))
-    return out
+
+    __slots__ = ("sides", "g", "shift", "rhs", "scale")
+
+    def __init__(self, sides, g, shift, rhs, scale):
+        self.sides = sides
+        self.g = g
+        self.shift = shift
+        self.rhs = rhs
+        self.scale = scale
+
+    def search_rows(self, rhs: int) -> list:
+        """The search rows, all ``<=``, for this row against ``rhs``: an int
+        on the row's scale with the folded terms already moved into it.
+
+        Gcd tightening: the searched part of the lhs is a multiple of ``g``,
+        so a ``<=`` row keeps the same integer points with rhs ``rhs // g``,
+        and an ``=`` row whose rhs ``g`` does not divide has none.  An ``=``
+        row always gives two rows, so row positions do not depend on rhs.
+        """
+        q, r = divmod(rhs, self.g)
+        if len(self.sides) == 1:
+            return [(self.sides[0], q)]
+        if r:
+            return [_FALSE, _FALSE]
+        return [(self.sides[0], q), (self.sides[1], -q)]
 
 
-def _propagate(rows, lo, hi) -> bool:
+def _int_row(row: LinearRow, folded=frozenset()) -> _IntRow:
+    """Compile ``row``, with the variables in ``folded`` moved to the shift.
+
+    With :meth:`_IntRow.search_rows` this is the one place rows become
+    search rows.  The row is multiplied by the LCM of all its denominators,
+    folded coefficients included, so every number is an int; a positive
+    scale keeps the same integer points and the same propagation cuts.
+    """
+    scale = math.lcm(
+        row.rhs.denominator, *(c.denominator for c in row.coeffs.values())
+    )
+    items, shift = [], []
+    for vid, c in row.coeffs.items():
+        if c:
+            scaled = (vid.index, c.numerator * (scale // c.denominator))
+            (shift if vid in folded else items).append(scaled)
+    g = math.gcd(*(c for _, c in items)) or 1
+    items = tuple(sorted((j, c // g) for j, c in items))
+    sides = (items,)
+    if row.rel is Rel.EQ:
+        sides += (tuple((j, -c) for j, c in items),)
+    rhs = row.rhs.numerator * (scale // row.rhs.denominator)
+    return _IntRow(sides, g, tuple(shift), rhs, scale)
+
+
+class _Search(NamedTuple):
+    """A system compiled for the search: its search rows and, per variable
+    index, the positions of the rows that read that variable."""
+
+    rows: list
+    watch: list
+
+
+def _watch(n: int, forms: Sequence[_IntRow]) -> list:
+    """Per variable, the positions of the search rows of ``forms`` (laid
+    out in order, as :meth:`_IntRow.search_rows` emits them) that read it."""
+    watch = [[] for _ in range(n)]
+    r = 0
+    for form in forms:
+        for items in form.sides:
+            for j, _ in items:
+                watch[j].append(r)
+            r += 1
+    return watch
+
+
+def _propagate(rows, watch, lo, hi, todo) -> bool:
     """Shrink boxes until fixpoint; False when some row cannot be met.
 
     For each row the minimal achievable lhs is computed from interval
@@ -269,34 +347,45 @@ def _propagate(rows, lo, hi) -> bool:
     rhs even with every other variable at its friendliest endpoint is cut.
     Values removed here cannot occur in any feasible completion, so the
     same propagation is safe during exhaustive enumeration.  Rows come from
-    :func:`_compiled_rows`, so all arithmetic is on ints.
+    :func:`_int_row`, so all arithmetic is on ints.
+
+    Only the rows in ``todo`` are scanned at first; a row is scanned again
+    when a variable it reads is tightened.  The greatest common fixpoint of
+    the cuts is unique, so this reaches the same boxes as sweeping every
+    row until nothing changes, provided every row left out of ``todo``
+    already holds at its fixpoint (the caller's box differs from one such
+    box only in variables the ``todo`` rows read).
     """
-    changed = True
-    while changed:
-        changed = False
-        for items, rhs in rows:
-            minlhs = 0
-            for j, c in items:
-                minlhs += c * (lo[j] if c > 0 else hi[j])
-            if minlhs > rhs:
-                return False
-            for j, c in items:
-                cmin = c * (lo[j] if c > 0 else hi[j])
-                slack = rhs - (minlhs - cmin)
-                if c > 0:
-                    cap = slack // c
-                    if cap < hi[j]:
-                        hi[j] = cap
-                        if lo[j] > hi[j]:
-                            return False
-                        changed = True
-                else:
-                    floor_ = -(slack // -c)
-                    if floor_ > lo[j]:
-                        lo[j] = floor_
-                        if lo[j] > hi[j]:
-                            return False
-                        changed = True
+    todo = list(todo)
+    queued = set(todo)
+    for r in todo:  # rows appended below are visited too
+        items, rhs = rows[r]
+        minlhs = 0
+        for j, c in items:
+            minlhs += c * (lo[j] if c > 0 else hi[j])
+        if minlhs > rhs:
+            return False
+        # slack = rhs - minlhs >= 0, so no cut empties a box: a dead box
+        # shows up as minlhs > rhs on some row.  A cut moves only the
+        # endpoint minlhs does not read, so this row stays at its own
+        # fixpoint and is not queued again by its own cuts.
+        slack = rhs - minlhs
+        for j, c in items:
+            if c > 0:
+                cap = lo[j] + slack // c
+                if cap >= hi[j]:
+                    continue
+                hi[j] = cap
+            else:
+                floor_ = hi[j] - slack // -c
+                if floor_ <= lo[j]:
+                    continue
+                lo[j] = floor_
+            for w in watch[j]:
+                if w not in queued:
+                    queued.add(w)
+                    todo.append(w)
+        queued.discard(r)
     return True
 
 
@@ -306,7 +395,7 @@ def _branches(lo, hi, k):
         nlo = lo.copy()
         nhi = hi.copy()
         nlo[k] = nhi[k] = v
-        yield nlo, nhi
+        yield nlo, nhi, k
 
 
 def iter_feasible(system: LinearSystem) -> Iterator[IntAssignment]:
@@ -318,7 +407,7 @@ def iter_feasible(system: LinearSystem) -> Iterator[IntAssignment]:
     for vid, bounds in system.variables:
         if not bounds.finite:
             raise UnboundedVarError(vid.name)
-    rows = _compiled_rows(system)
+    rows, watch = system._search
     varids = [vid for vid, _ in system.variables]
     lo0 = [bounds.lower for _, bounds in system.variables]
     hi0 = [bounds.upper for _, bounds in system.variables]
@@ -327,17 +416,22 @@ def iter_feasible(system: LinearSystem) -> Iterator[IntAssignment]:
     def search():
         # One lazy child iterator per open level: the top one yields the
         # next sibling to visit, so points come out in lexicographic order
-        # and only the boxes on the current path are held in memory.
-        stack = [iter([(lo0, hi0)])]
+        # and only the boxes on the current path are held in memory.  A box
+        # carries the variable its parent branched on (-1 at the root).
+        stack = [iter([(lo0, hi0, -1)])]
         while stack:
             box = next(stack[-1], None)
             if box is None:
                 stack.pop()
                 continue
-            lo, hi = box
-            if not _propagate(rows, lo, hi):
+            lo, hi, k = box
+            # A child box is its parent's fixpoint with variable k fixed,
+            # so only the rows that read k need scanning first.
+            todo = watch[k] if k >= 0 else range(len(rows))
+            if not _propagate(rows, watch, lo, hi, todo):
                 continue
-            k = next((i for i in range(n) if lo[i] < hi[i]), None)
+            # Variables before k were fixed at the parent; k is fixed now.
+            k = next((i for i in range(k + 1, n) if lo[i] < hi[i]), None)
             if k is None:
                 yield IntAssignment({varids[i]: lo[i] for i in range(n)})
             else:

@@ -27,9 +27,11 @@ from resilp.ilp import (
     VarBounds,
     VarId,
     evaluate,
+    iter_feasible,
     make_vars,
     solve_feasibility,
 )
+from resilp.scheduling import SchedulingInstance, encode
 
 
 def _rsys(x_specs, z_specs, rows_x=(), rows_xz=(), rows_z=()):
@@ -224,6 +226,86 @@ def _random_partitioned(rng, max_vars=2, width=2, max_rows=3):
                 cs[rng.choice(xnames)] = rng.choice([-2, -1, 1, 2])
             rows_xz.append((cs, rel, rhs))
     return _rsys(xv, zv, rows_x, rows_xz, rows_z)
+
+
+def _fraction_fold(system, scenario):
+    """The substituted system by plain Fraction arithmetic (test reference)."""
+    zset = {vid for vid, _ in system.z_vars}
+    folded = []
+    for row in system.rows_xz:
+        rhs = row.rhs
+        xcoeffs = {}
+        for vid, c in row.coeffs.items():
+            if vid in zset:
+                rhs -= c * scenario[vid]
+            else:
+                xcoeffs[vid] = c
+        folded.append(LinearRow(xcoeffs, row.rel, rhs))
+    return LinearSystem(system.x_vars, system.rows_x + tuple(folded))
+
+
+def test_substitute_matches_a_plain_fraction_fold():
+    rng = random.Random(0xF01D)
+    scenarios = 0
+    for _ in range(150):
+        sys_ = _random_partitioned(rng)
+        for scenario in enumerate_scenarios(sys_):
+            scenarios += 1
+            sub = substitute(sys_, scenario)
+            assert sub == _fraction_fold(sys_, scenario)
+            # the search rows substitute seeds against ones compiled afresh
+            fresh = LinearSystem(sub.variables, sub.rows)
+            assert [a.values for a in iter_feasible(sub)] == [
+                a.values for a in iter_feasible(fresh)
+            ]
+    assert scenarios > 100
+
+
+def test_each_row_compiles_once_per_system(monkeypatch):
+    from resilp import engine, ilp
+
+    inst = SchedulingInstance(3, ((1, 2, 3), (2, 1, 2), (3, 3, 1)), (4, 4, 4), 6, 12)
+    system = encode(inst)
+    calls = {"_int_row": 0, "evaluate": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    compile_row = counted(ilp._int_row)
+    monkeypatch.setattr(ilp, "_int_row", compile_row)
+    monkeypatch.setattr(engine, "_int_row", compile_row)
+    monkeypatch.setattr(engine, "evaluate", counted(engine.evaluate))
+    verdict = check_resiliency(system)
+    assert verdict.resilient and verdict.scenarios_checked == 84
+    rows = len(system.rows_x) + len(system.rows_xz) + len(system.rows_z)
+    assert calls == {"_int_row": rows, "evaluate": 0}
+    check_resiliency(system)  # the compiled kernel is kept on the system
+    assert calls == {"_int_row": rows, "evaluate": 0}
+
+
+def test_substitute_names_the_first_violation():
+    sys_ = _rsys(
+        [("x", 0, 1)],
+        [("z", 0, 3), ("w", 0, 3)],
+        rows_z=[({"z": 1}, Rel.LEQ, 1), ({"w": 2}, Rel.EQ, 2)],
+    )
+    z, w = (vid for vid, _ in sys_.z_vars)
+    cases = [
+        ({z: 2, w: 1}, "scenario is not admissible: row 0 violated"),
+        ({z: 1, w: 2}, "scenario is not admissible: row 1 violated"),
+        ({z: -1, w: 1}, "scenario is not admissible: bound of 'z' violated"),
+        ({z: 0}, "bad scenario domain: missing: w"),
+        ({z: 0, w: 1, VarId(0, "x"): 0}, "bad scenario domain: unexpected: x"),
+    ]
+    for values, message in cases:
+        with pytest.raises(ScenarioError) as info:
+            substitute(sys_, IntAssignment(values))
+        assert str(info.value) == message
+    assert substitute(sys_, IntAssignment({z: 1, w: 1})).rows == ()
 
 
 def test_engine_agrees_with_dumb_double_enumeration():

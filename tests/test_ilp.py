@@ -18,7 +18,7 @@ from resilp.engine import (
     enumerate_scenarios,
     substitute,
 )
-from resilp.errors import DomainError, UnboundedVarError, ValidationError
+from resilp.errors import DomainError, ScenarioError, UnboundedVarError, ValidationError
 from resilp.ilp import (
     IntAssignment,
     LinearRow,
@@ -26,6 +26,7 @@ from resilp.ilp import (
     Rel,
     VarBounds,
     VarId,
+    _propagate,
     evaluate,
     format_rational,
     iter_feasible,
@@ -288,6 +289,115 @@ def test_rational_sweep_enumeration_matches_brute():
             assert [a.values for a in iter_feasible(sub)] == points
             scenario_points += len(points)
     assert scenario_points > 400
+
+
+def test_rational_substitute_matches_a_plain_fraction_fold():
+    rng = random.Random(0x5B57)
+    checked = rejected = 0
+    for _ in range(400):
+        sys_ = _random_rational_resiliency(rng)
+        zsys = sys_.z_system()
+        zids = [vid for vid, _ in sys_.z_vars]
+        zset = set(zids)
+        # every z-box point and a margin of one around it
+        ranges = [range(b.lower - 1, b.upper + 2) for _, b in sys_.z_vars]
+        for point in itertools.product(*ranges):
+            scenario = IntAssignment(dict(zip(zids, point)))
+            violation = evaluate(zsys, scenario)
+            if violation is not None:
+                rejected += 1
+                with pytest.raises(ScenarioError) as info:
+                    substitute(sys_, scenario)
+                assert str(info.value) == f"scenario is not admissible: {violation}"
+                continue
+            checked += 1
+            sub = substitute(sys_, scenario)
+            folded = []
+            for row in sys_.rows_xz:
+                shift = sum(c * scenario[v] for v, c in row.coeffs.items() if v in zset)
+                xcoeffs = {v: c for v, c in row.coeffs.items() if v not in zset}
+                folded.append(LinearRow(xcoeffs, row.rel, row.rhs - shift))
+            assert sub == LinearSystem(sys_.x_vars, sys_.rows_x + tuple(folded))
+            fresh = LinearSystem(sub.variables, sub.rows)
+            assert [a.values for a in iter_feasible(sub)] == [
+                a.values for a in iter_feasible(fresh)
+            ]
+    assert checked > 400 and rejected > 400
+
+
+def _full_sweep(rows, lo, hi):
+    """Reference propagation, shrinking lo and hi in place: sweep every
+    search row until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        for items, rhs in rows:
+            minlhs = sum(c * (lo[j] if c > 0 else hi[j]) for j, c in items)
+            if minlhs > rhs:
+                return False
+            for j, c in items:
+                slack = rhs - minlhs + c * (lo[j] if c > 0 else hi[j])
+                if c > 0 and slack // c < hi[j]:
+                    hi[j] = slack // c
+                    changed = True
+                elif c < 0 and -(slack // -c) > lo[j]:
+                    lo[j] = -(slack // -c)
+                    changed = True
+                if lo[j] > hi[j]:
+                    return False
+    return True
+
+
+def test_queue_propagation_matches_full_sweep():
+    rng = random.Random(0x0B0E)
+    roots = children = 0
+    for _ in range(300):
+        sys_ = _random_rational_resiliency(rng, max_vars=3, max_rows=4)
+        systems = [sys_.z_system(), LinearSystem(sys_.x_vars, sys_.rows_x)]
+        for scenario in itertools.islice(enumerate_scenarios(sys_), 3):
+            systems.append(substitute(sys_, scenario))
+        for system in systems:
+            if not system.variables:
+                continue
+            rows, watch = system._search
+            lo, hi = [], []
+            for _, b in system.variables:
+                a, c = sorted(rng.randint(b.lower, b.upper) for _ in range(2))
+                lo.append(a)
+                hi.append(c)
+            ref = (lo.copy(), hi.copy())
+            ok = _propagate(rows, watch, lo, hi, range(len(rows)))
+            assert ok == _full_sweep(rows, *ref)
+            roots += 1
+            if not ok:
+                continue
+            assert (lo, hi) == ref
+            # a child of that fixpoint: fix one open variable, rescan its rows
+            open_ = [j for j in range(len(lo)) if lo[j] < hi[j]]
+            if not open_:
+                continue
+            k = rng.choice(open_)
+            lo[k] = hi[k] = rng.randint(lo[k], hi[k])
+            ref = (lo.copy(), hi.copy())
+            ok = _propagate(rows, watch, lo, hi, watch[k])
+            assert ok == _full_sweep(rows, *ref)
+            if ok:
+                assert (lo, hi) == ref
+            children += 1
+    assert roots > 500 and children > 100
+
+
+def test_gcd_tightening_settles_parity_rows_at_once():
+    # 2a - 2b = 1 has no integer point; interval cuts alone would walk a
+    # through its whole box, one child per value.
+    wide = [("a", 0, 10**9), ("b", 0, 10**9)]
+    assert solve_feasibility(_system(wide, [({"a": 2, "b": -2}, Rel.EQ, 1)])) is None
+    third = Fraction(1, 3)
+    parity = [({"a": 2 * third, "b": -4 * third}, Rel.EQ, third)]
+    assert solve_feasibility(_system(wide, parity)) is None
+    # a <= row keeps its points: 2a + 2b <= 3 reads a + b <= 1
+    leq = _system([("a", 0, 3), ("b", 0, 3)], [({"a": 2, "b": 2}, Rel.LEQ, 3)])
+    assert [a.values for a in iter_feasible(leq)] == _brute_points(leq)
 
 
 def test_wide_system_needs_no_recursion():
