@@ -193,8 +193,8 @@ def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSyste
     kernel = system._kernel
     z = kernel.admitted(scenario)
     if z is None:
-        # Only a rejected scenario pays for evaluate, which names the
-        # first violation the way the message has always read.
+        # evaluate names the first violation for the message; only a
+        # rejected scenario pays for it.
         try:
             violation = evaluate(kernel.zsys, scenario)
         except DomainError as exc:
