@@ -6,86 +6,64 @@ does the "x" half always stay satisfiable?  Encoders translate set-cover
 robustness, closest-string corruption, scheduling delays, and election
 bribery into that shape; independent brute-force oracles keep the
 encoders honest.
+
+Exported names load on first use (PEP 562), so ``import resilp`` runs no
+submodule and a command imports only the modules it uses.
 """
 
-from .bribery import BriberyInstance, Election, kendall, voter_types
-from .closest_string import (
-    Alphabet,
-    RcsInstance,
-    StringMatrix,
-    column_types,
-    normalize,
-)
-from .engine import (
-    ResiliencySystem,
-    ResiliencyVerdict,
-    check_resiliency,
-    enumerate_scenarios,
-    substitute,
-)
-from .errors import (
-    ArgumentError,
-    BudgetError,
-    DomainError,
-    NormalizationError,
-    ResilpError,
-    ScenarioError,
-    UnboundedVarError,
-    ValidationError,
-)
-from .ilp import (
-    IntAssignment,
-    LinearRow,
-    LinearSystem,
-    Rel,
-    VarBounds,
-    VarId,
-    evaluate,
-    iter_feasible,
-    make_vars,
-    solve_feasibility,
-)
-from .scheduling import SchedulingInstance
-from .setcover import AuthorizationPolicy, RdscpInstance, from_policy
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "ArgumentError",
-    "AuthorizationPolicy",
-    "BriberyInstance",
-    "BudgetError",
-    "DomainError",
-    "Election",
-    "IntAssignment",
-    "LinearRow",
-    "LinearSystem",
-    "NormalizationError",
-    "RcsInstance",
-    "RdscpInstance",
-    "Rel",
-    "ResiliencySystem",
-    "ResiliencyVerdict",
-    "ResilpError",
-    "ScenarioError",
-    "SchedulingInstance",
-    "StringMatrix",
-    "UnboundedVarError",
-    "ValidationError",
-    "VarBounds",
-    "VarId",
-    "check_resiliency",
-    "column_types",
-    "enumerate_scenarios",
-    "evaluate",
-    "from_policy",
-    "iter_feasible",
-    "kendall",
-    "make_vars",
-    "normalize",
-    "solve_feasibility",
-    "substitute",
-    "voter_types",
-    "__version__",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "BriberyInstance": "bribery",
+    "Election": "bribery",
+    "kendall": "bribery",
+    "voter_types": "bribery",
+    "Alphabet": "closest_string",
+    "RcsInstance": "closest_string",
+    "StringMatrix": "closest_string",
+    "column_types": "closest_string",
+    "normalize": "closest_string",
+    "ResiliencySystem": "engine",
+    "ResiliencyVerdict": "engine",
+    "check_resiliency": "engine",
+    "enumerate_scenarios": "engine",
+    "substitute": "engine",
+    "ArgumentError": "errors",
+    "BudgetError": "errors",
+    "DomainError": "errors",
+    "NormalizationError": "errors",
+    "ResilpError": "errors",
+    "ScenarioError": "errors",
+    "UnboundedVarError": "errors",
+    "ValidationError": "errors",
+    "IntAssignment": "ilp",
+    "LinearRow": "ilp",
+    "LinearSystem": "ilp",
+    "Rel": "ilp",
+    "VarBounds": "ilp",
+    "VarId": "ilp",
+    "evaluate": "ilp",
+    "iter_feasible": "ilp",
+    "make_vars": "ilp",
+    "solve_feasibility": "ilp",
+    "SchedulingInstance": "scheduling",
+    "AuthorizationPolicy": "setcover",
+    "RdscpInstance": "setcover",
+    "from_policy": "setcover",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

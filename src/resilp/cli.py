@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
-import traceback
 from typing import Dict, List, Optional, Tuple
 
-from . import bribery, closest_string, scheduling, setcover
+# Only what every `check` runs is imported here: a module-level import
+# runs on every `resilp` start.  Problem modules, oracles and generators
+# load on the path that uses them, and are called as module attributes.
 from .engine import (
     ResiliencySystem,
     check_resiliency,
@@ -31,22 +31,6 @@ from .jsonio import (
     resiliency_from_dict,
     resiliency_to_dict,
     verdict_to_dict,
-)
-from .oracles import (
-    bribery_oracle,
-    forall_exists_oracle,
-    hitting_set_oracle,
-    matching_3dm_oracle,
-    rcs_oracle,
-    rdscp_oracle,
-    sched_oracle,
-)
-from .sampling import (
-    random_bribery,
-    random_rcs,
-    random_rdscp,
-    random_sched,
-    random_system,
 )
 
 PROBLEMS = ("rdscp", "rcs", "sched", "bribery", "policy")
@@ -108,39 +92,50 @@ def _emit(doc, fmt: str) -> None:
 
 def _load_instance(problem: str, doc):
     if problem == "rdscp":
+        from . import setcover
         return setcover.RdscpInstance.from_dict(doc)
     if problem == "policy":
+        from . import setcover
         return setcover.from_policy(setcover.AuthorizationPolicy.from_dict(doc))
     if problem == "rcs":
+        from . import closest_string
         inst, _ = closest_string.instance_from_dict(doc)
         return inst
     if problem == "sched":
+        from . import scheduling
         return scheduling.SchedulingInstance.from_dict(doc)
     if problem == "bribery":
+        from . import bribery
         return bribery.BriberyInstance.from_dict(doc)
     raise ArgumentError(f"unknown problem {problem!r}")
 
 
 def _encode_instance(problem: str, inst, args) -> ResiliencySystem:
     if problem in ("rdscp", "policy"):
+        from . import setcover
         return setcover.encode(inst, max_patterns=args.max_patterns)
     if problem == "rcs":
+        from . import closest_string
         return closest_string.encode(
             inst, per_row_distance=not args.aggregate_distance
         )
     if problem == "sched":
+        from . import scheduling
         return scheduling.encode(inst)
+    from . import bribery
     return bribery.encode(inst)
 
 
 def _oracle_answer(problem: str, inst, args) -> bool:
+    from . import oracles
+
     if problem in ("rdscp", "policy"):
-        return rdscp_oracle(inst)
+        return oracles.rdscp_oracle(inst)
     if problem == "rcs":
-        return rcs_oracle(inst, per_row_distance=not args.aggregate_distance)
+        return oracles.rcs_oracle(inst, per_row_distance=not args.aggregate_distance)
     if problem == "sched":
-        return sched_oracle(inst, max_points=args.max_points)
-    return bribery_oracle(inst)
+        return oracles.sched_oracle(inst, max_points=args.max_points)
+    return oracles.bribery_oracle(inst)
 
 
 def _census_doc(census: Dict[Tuple[int, ...], int]) -> Dict[str, int]:
@@ -177,6 +172,7 @@ def _decode_payload(
         payload["solution"] = assignment_to_dict(x_values)
         return payload
     if problem in ("rdscp", "policy"):
+        from . import setcover
         removed = setcover.decode_scenario(inst, scenario)
         payload["adversary"] = {
             "removed_indices": list(removed),
@@ -188,6 +184,7 @@ def _decode_payload(
             else None
         )
     elif problem == "rcs":
+        from . import closest_string
         corrupted = closest_string.decode_scenario(inst, scenario)
         payload["adversary"] = {"corrupted": list(corrupted.rows)}
         payload["solution"] = (
@@ -200,6 +197,7 @@ def _decode_payload(
             else None
         )
     elif problem == "sched":
+        from . import scheduling
         delays = scheduling.decode_scenario(inst, scenario)
         payload["adversary"] = {"delays": list(delays)}
         payload["solution"] = (
@@ -208,6 +206,7 @@ def _decode_payload(
             else None
         )
     else:
+        from . import bribery
         moves, after = bribery.decode_bribery(inst, "adversary", scenario)
         payload["adversary"] = {
             "moves": _moves_doc(moves),
@@ -275,8 +274,10 @@ def cmd_check(args) -> int:
     code = 0 if verdict.resilient else 1
 
     if args.oracle:
+        from . import oracles
+
         if args.raw:
-            answer = forall_exists_oracle(system, max_points=args.max_points)
+            answer = oracles.forall_exists_oracle(system, max_points=args.max_points)
         else:
             answer = _oracle_answer(problem, inst, args)
         report["oracle"] = answer
@@ -287,7 +288,9 @@ def cmd_check(args) -> int:
             )
             code = 3
     if args.exhaustive:
-        answer = forall_exists_oracle(system, max_points=args.max_points)
+        from . import oracles
+
+        answer = oracles.forall_exists_oracle(system, max_points=args.max_points)
         report["exhaustive"] = answer
         if answer != verdict.resilient:
             print(
@@ -308,10 +311,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracles
+
     doc = _read_doc(args.instance)
     start = time.perf_counter()
     if args.raw:
-        answer = forall_exists_oracle(
+        answer = oracles.forall_exists_oracle(
             resiliency_from_dict(doc), max_points=args.max_points
         )
     else:
@@ -334,6 +339,8 @@ def _require(doc, key, kind, where):
 
 
 def cmd_gen(args) -> int:
+    from . import oracles, setcover
+
     doc = _read_doc(args.source)
     if args.reduction == "hitting-set":
         n = _require(doc, "n", int, "hitting-set source")
@@ -341,7 +348,7 @@ def cmd_gen(args) -> int:
         raw_sets = _require(doc, "sets", list, "hitting-set source")
         sets = [tuple(int(v) for v in entry) for entry in raw_sets]
         inst = setcover.gen_from_hitting_set(n, sets, k)
-        expected = not hitting_set_oracle(n, sets, k)
+        expected = not oracles.hitting_set_oracle(n, sets, k)
     else:
         n = _require(doc, "n", int, "3dm source")
         k = _require(doc, "k", int, "3dm source")
@@ -352,11 +359,11 @@ def cmd_gen(args) -> int:
                 raise ValidationError("3dm source: each triple needs 3 entries")
             triples.append(tuple(int(v) for v in entry))
         inst = setcover.gen_from_3dm(n, triples, k)
-        expected = matching_3dm_oracle(n, triples, k)
+        expected = oracles.matching_3dm_oracle(n, triples, k)
 
     code = 0
     if args.verify:
-        got = rdscp_oracle(inst)
+        got = oracles.rdscp_oracle(inst)
         if got != expected:
             print(
                 f"verification failed: source implies {expected}, "
@@ -371,12 +378,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gen_random(args) -> int:
+    import random
+
+    from . import sampling
+
     generators = {
-        "system": random_system,
-        "rdscp": random_rdscp,
-        "rcs": random_rcs,
-        "sched": random_sched,
-        "bribery": random_bribery,
+        "system": sampling.random_system,
+        "rdscp": sampling.random_rdscp,
+        "rcs": sampling.random_rcs,
+        "sched": sampling.random_sched,
+        "bribery": sampling.random_bribery,
     }
     rng = random.Random(args.seed)
     gen = generators[args.family]
@@ -475,6 +486,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except Exception:
         # exit-code contract: even a bug must land on {0,1,2,3}
+        import traceback
+
         traceback.print_exc()
         return 2
 

@@ -145,15 +145,27 @@ def test_check_oracle_flag_agrees(problem, doc, tmp_path, capsys):
 
 
 def test_injected_oracle_mutant_exits_3(tmp_path, capsys, monkeypatch):
-    import resilp.cli as cli_mod
+    import resilp.oracles as oracles
 
-    monkeypatch.setattr(cli_mod, "sched_oracle", lambda inst, **kw: False)
+    monkeypatch.setattr(oracles, "sched_oracle", lambda inst, **kw: False)
     code, out, err = run(
         capsys, "check", "--problem", "sched", write(tmp_path, SCHED_YES), "--oracle"
     )
     assert code == 3
     assert json.loads(out)["oracle"] is False
     assert "disagreement" in err
+
+
+def test_unexpected_crash_exits_2_with_traceback(tmp_path, capsys, monkeypatch):
+    import resilp.scheduling as scheduling
+
+    def broken(inst):
+        raise RuntimeError("encoder bug")
+
+    monkeypatch.setattr(scheduling, "encode", broken)
+    code, out, err = run(capsys, "check", "--problem", "sched", write(tmp_path, SCHED_YES))
+    assert code == 2 and out == ""
+    assert "Traceback" in err and "RuntimeError: encoder bug" in err
 
 
 def test_check_scenario_budget_exits_2(tmp_path, capsys):
@@ -224,9 +236,9 @@ def test_gen_single_triple_matching(tmp_path, capsys):
 
 
 def test_gen_verification_failure_exits_3(tmp_path, capsys, monkeypatch):
-    import resilp.cli as cli_mod
+    import resilp.oracles as oracles
 
-    monkeypatch.setattr(cli_mod, "rdscp_oracle", lambda inst, **kw: None)
+    monkeypatch.setattr(oracles, "rdscp_oracle", lambda inst, **kw: None)
     src = write(tmp_path, {"n": 2, "sets": [[1, 2]], "k": 1})
     code, _, err = run(capsys, "gen", "--reduction", "hitting-set", src, "--verify")
     assert code == 3 and "verification failed" in err
