@@ -10,6 +10,7 @@ generator/source disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -231,7 +232,8 @@ def _build_decode(problem, inst, system, verdict, *, per_row: bool):
         if scenario is None:
             return None
         x_values = solve_feasibility(substitute(system, scenario))
-        assert x_values is not None, "resilient verdict with an unanswerable scenario"
+        if x_values is None:
+            raise RuntimeError("resilient verdict with an unanswerable scenario")
         return _decode_payload(problem, inst, scenario, x_values, per_row=per_row)
     return _decode_payload(problem, inst, verdict.witness_z, None, per_row=per_row)
 
@@ -404,7 +406,14 @@ def cmd_gen_random(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `main` call.
+
+    Not built at import, so a start that never parses pays nothing for it.
+    It is shared by every later call, so it must hold no per-call state:
+    defaults stay immutable and no action keeps what it parsed.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "text"), default="json",
@@ -475,7 +484,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has already written the usage error or the help;
+        # its status is 2 or 0
+        return exc.code
     try:
         return args.func(args)
     except ResilpError as exc:

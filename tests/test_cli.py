@@ -1,11 +1,19 @@
 """End-to-end runs of the command-line front end, in process."""
 
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from resilp import cli
 from resilp.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCHED_YES = {"machines": 2, "ptimes": [[1, 2]], "counts": [2], "K": 2, "cmax": 3}
 SCHED_NO = {"machines": 2, "ptimes": [[1, 2]], "counts": [2], "K": 2, "cmax": 2}
@@ -39,6 +47,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def report_without_time(out):
+    report = json.loads(out)
+    del report["wall_time"]
+    return report
 
 
 def test_encode_emits_system_json(tmp_path, capsys):
@@ -168,6 +182,36 @@ def test_unexpected_crash_exits_2_with_traceback(tmp_path, capsys, monkeypatch):
     assert "Traceback" in err and "RuntimeError: encoder bug" in err
 
 
+def test_unanswerable_sample_scenario_exits_2_with_traceback(
+    tmp_path, capsys, monkeypatch
+):
+    # the engine keeps its own solver, so only the decode step sees None
+    monkeypatch.setattr(cli, "solve_feasibility", lambda system: None)
+    code, out, err = run(
+        capsys, "check", "--problem", "sched", write(tmp_path, SCHED_YES), "--decode"
+    )
+    assert code == 2 and out == ""
+    assert "RuntimeError: resilient verdict with an unanswerable scenario" in err
+
+
+def test_unanswerable_sample_scenario_exits_2_under_optimize(tmp_path):
+    # python -O strips asserts; the check must not be one
+    argv = ["check", "--problem", "sched", write(tmp_path, SCHED_YES), "--decode"]
+    script = (
+        "import sys, resilp.cli as cli\n"
+        "cli.solve_feasibility = lambda system: None\n"
+        f"sys.exit(cli.main({argv!r}))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" in done.stderr
+
+
 def test_check_scenario_budget_exits_2(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -281,3 +325,69 @@ def test_rcs_ingest_normalization_warns(tmp_path, capsys):
         code = main(["check", "--problem", "rcs", path])
     capsys.readouterr()
     assert code == 0
+
+
+def test_parser_is_built_once_across_calls(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = write(tmp_path, SCHED_YES)
+    assert run(capsys, "check", "--problem", "sched", path)[0] == 0
+    one_build = len(built)
+    assert one_build > 0
+    assert run(capsys, "encode", "--problem", "sched", path)[0] == 0
+    assert run(capsys, "check", "--problem", "sched", path, "--decode")[0] == 0
+    assert len(built) == one_build
+
+
+def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
+    path = write(tmp_path, SCHED_NO)
+    cli._build_parser.cache_clear()
+    fresh_code, fresh_out, _ = run(capsys, "check", "--problem", "sched", path)
+    code, out, _ = run(
+        capsys,
+        "check", "--problem", "sched", path,
+        "--oracle", "--decode", "--format", "text",
+    )
+    assert code == 1 and "oracle: false" in out and "decoded:" in out
+    again_code, again_out, _ = run(capsys, "check", "--problem", "sched", path)
+    assert again_code == fresh_code == 1
+    again = report_without_time(again_out)
+    assert again == report_without_time(fresh_out)
+    assert not {"oracle", "decoded"} & set(again)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (
+            ["check", "--problem", "sched", "--raw", "{path}"],
+            "argument --raw: not allowed with argument --problem",
+        ),
+        (["check", "--problem", "nope", "{path}"], "argument --problem: invalid choice"),
+    ],
+    ids=["no-subcommand", "problem-and-raw", "unknown-problem"],
+)
+def test_usage_error_returns_2_and_spares_the_next_call(argv, message, tmp_path, capsys):
+    path = write(tmp_path, SCHED_YES)
+    valid = ["check", "--problem", "sched", path]
+    before_code, before_out, _ = run(capsys, *valid)
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("usage: resilp") and message in err
+    after_code, after_out, _ = run(capsys, *valid)
+    assert after_code == before_code == 0
+    assert report_without_time(after_out) == report_without_time(before_out)
+
+
+def test_help_returns_0(capsys):
+    code, out, err = run(capsys, "check", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: resilp check")

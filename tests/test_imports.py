@@ -51,6 +51,20 @@ def test_import_cli_loads_no_problem_module_oracle_or_generator():
     assert not loaded & (PROBLEM_MODULES | {"resilp.oracles", "resilp.sampling"})
 
 
+def test_import_cli_builds_no_parser():
+    loaded_after(
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import resilp.cli\n"
+        "assert not built, built"
+    )
+
+
 def test_check_loads_only_its_own_problem_module(tmp_path):
     loaded = check_sched(tmp_path)
     assert loaded & PROBLEM_MODULES == {"resilp.scheduling"}
