@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import ResiliencySystem
 from .errors import ArgumentError, BudgetError, ValidationError
-from .ilp import IntAssignment, LinearRow, Rel, VarBounds, VarId
+from .ilp import IntAssignment, LinearRow, Rel, make_vars
+from .jsonio import read_object
 
 
 def kendall(a: Sequence[int], b: Sequence[int]) -> int:
@@ -116,34 +117,24 @@ class BriberyInstance:
 
     @staticmethod
     def from_dict(doc) -> "BriberyInstance":
-        if not isinstance(doc, dict):
-            raise ValidationError("instance must be an object")
-        wanted = {"candidates", "votes", "scoring", "ba", "b"}
-        extra = set(doc) - wanted
-        if extra:
-            raise ValidationError(f"unknown instance keys: {sorted(extra)}")
-        missing = wanted - set(doc)
-        if missing:
-            raise ValidationError(f"missing instance keys: {sorted(missing)}")
-        votes = doc["votes"]
+        candidates, votes, scoring, ba, b = read_object(
+            doc, ("candidates", "votes", "scoring", "ba", "b"), "instance"
+        )
         if not isinstance(votes, list):
             raise ValidationError("votes must be a list")
         census: Dict[Tuple[int, ...], int] = {}
         for entry in votes:
-            if not isinstance(entry, dict) or set(entry) != {"order", "count"}:
-                raise ValidationError(
-                    "each vote entry needs exactly the keys order and count"
-                )
-            order = entry["order"]
+            order, count = read_object(entry, ("order", "count"), "vote entry")
             if not isinstance(order, list):
                 raise ValidationError("vote order must be a list")
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise ValidationError("voter counts must be integers >= 0")
             key = tuple(order)
-            census[key] = census.get(key, 0) + entry["count"]
-        scoring = doc["scoring"]
+            census[key] = census.get(key, 0) + count
         if not isinstance(scoring, list):
             raise ValidationError("scoring must be a list")
-        election = Election(doc["candidates"], census, tuple(scoring))
-        return BriberyInstance(election, doc["ba"], doc["b"])
+        election = Election(candidates, census, tuple(scoring))
+        return BriberyInstance(election, ba, b)
 
     def to_dict(self) -> dict:
         votes = [
@@ -200,33 +191,20 @@ def encode(inst: BriberyInstance, *, max_candidates: int = 4) -> ResiliencySyste
     types = voter_types(m)
     V = inst.election.voters
 
-    z_vars = []
-    zid: Dict[str, VarId] = {}
-
-    def _add_z(name: str, hi: int) -> None:
-        vid = VarId(len(z_vars), name)
-        zid[name] = vid
-        z_vars.append((vid, VarBounds(0, hi)))
-
-    for src in types:
-        for dst in types:
-            _add_z(_zname(src, dst), inst.election.count(src))
-    for order in types:
-        _add_z(_yname(order), V)
-
-    x_vars = []
-    xid: Dict[str, VarId] = {}
-
-    def _add_x(name: str) -> None:
-        vid = VarId(len(x_vars), name)
-        xid[name] = vid
-        x_vars.append((vid, VarBounds(0, V)))
-
-    for src in types:
-        for dst in types:
-            _add_x(_xname(src, dst))
-    for order in types:
-        _add_x(_wname(order))
+    z_vars = make_vars(
+        [
+            (_zname(src, dst), 0, inst.election.count(src))
+            for src in types
+            for dst in types
+        ]
+        + [(_yname(order), 0, V) for order in types]
+    )
+    zid = {vid.name: vid for vid, _ in z_vars}
+    x_vars = make_vars(
+        [(_xname(src, dst), 0, V) for src in types for dst in types]
+        + [(_wname(order), 0, V) for order in types]
+    )
+    xid = {vid.name: vid for vid, _ in x_vars}
 
     rows_z: List[LinearRow] = []
     # every original voter is moved (possibly to their own order)
@@ -288,7 +266,7 @@ def encode(inst: BriberyInstance, *, max_candidates: int = 4) -> ResiliencySyste
         rows_x.append(LinearRow(coeffs, Rel.LEQ, -1))
 
     return ResiliencySystem(
-        tuple(x_vars), tuple(z_vars), tuple(rows_x), tuple(rows_xz), tuple(rows_z)
+        x_vars, z_vars, tuple(rows_x), tuple(rows_xz), tuple(rows_z)
     )
 
 
@@ -303,8 +281,8 @@ def decode_bribery(
 
     ``side`` selects which half to read: "adversary" decodes the z block
     against the original census and budget ``ba``; "response" decodes the
-    x block against ``pre_census`` (required) and budget ``b``.  Marginals
-    are asserted because the input is solver output, not user data.
+    x block against ``pre_census`` (required) and budget ``b``.  Flows
+    that break a marginal or the budget raise :class:`ValidationError`.
     """
     m = inst.election.m
     types = voter_types(m)
@@ -331,21 +309,24 @@ def decode_bribery(
         out = 0
         for dst in types:
             count = values.get(name(src, dst), 0)
-            assert count >= 0, "negative flow"
+            if count < 0:
+                raise ValidationError("negative flow")
             out += count
             after[dst] += count
             spent += count * kendall(src, dst)
             if count > 0 and src != dst:
                 moves.append((src, dst, count))
-        assert out == source[src], (
-            f"flow out of {_key(src)} is {out}, census says {source[src]}"
-        )
-    assert spent <= budget, f"moves cost {spent} > budget {budget}"
+        if out != source[src]:
+            raise ValidationError(
+                f"flow out of {_key(src)} is {out}, census says {source[src]}"
+            )
+    if spent > budget:
+        raise ValidationError(f"moves cost {spent} > budget {budget}")
     for dst in types:
-        declared = values.get(census_name(dst), 0)
-        assert after[dst] == declared, (
-            f"census variable for {_key(dst)} disagrees with the flow"
-        )
+        if after[dst] != values.get(census_name(dst), 0):
+            raise ValidationError(
+                f"census variable for {_key(dst)} disagrees with the flow"
+            )
     return moves, after
 
 

@@ -29,6 +29,7 @@ from .errors import ArgumentError, ResilpError, ValidationError
 from .ilp import IntAssignment, solve_feasibility
 from .jsonio import (
     assignment_to_dict,
+    read_object,
     resiliency_from_dict,
     resiliency_to_dict,
     verdict_to_dict,
@@ -331,37 +332,23 @@ def cmd_oracle(args) -> int:
     return 0 if answer else 1
 
 
-def _require(doc, key, kind, where):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValidationError(f"{where}: missing field {key!r}")
-    value = doc[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValidationError(f"{where}: field {key!r} must be {kind.__name__}")
-    return value
-
-
 def cmd_gen(args) -> int:
     from . import oracles, setcover
 
-    doc = _read_doc(args.source)
-    if args.reduction == "hitting-set":
-        n = _require(doc, "n", int, "hitting-set source")
-        k = _require(doc, "k", int, "hitting-set source")
-        raw_sets = _require(doc, "sets", list, "hitting-set source")
-        sets = [tuple(int(v) for v in entry) for entry in raw_sets]
-        inst = setcover.gen_from_hitting_set(n, sets, k)
-        expected = not oracles.hitting_set_oracle(n, sets, k)
+    # the generators validate n, k and every member of the family
+    hitting = args.reduction == "hitting-set"
+    field = "sets" if hitting else "triples"
+    n, family, k = read_object(
+        _read_doc(args.source), ("n", field, "k"), f"{args.reduction} source"
+    )
+    if not isinstance(family, list):
+        raise ValidationError(f"{field} must be a list")
+    if hitting:
+        inst = setcover.gen_from_hitting_set(n, family, k)
+        expected = not oracles.hitting_set_oracle(n, family, k)
     else:
-        n = _require(doc, "n", int, "3dm source")
-        k = _require(doc, "k", int, "3dm source")
-        raw_triples = _require(doc, "triples", list, "3dm source")
-        triples = []
-        for entry in raw_triples:
-            if len(entry) != 3:
-                raise ValidationError("3dm source: each triple needs 3 entries")
-            triples.append(tuple(int(v) for v in entry))
-        inst = setcover.gen_from_3dm(n, triples, k)
-        expected = oracles.matching_3dm_oracle(n, triples, k)
+        inst = setcover.gen_from_3dm(n, family, k)
+        expected = oracles.matching_3dm_oracle(n, family, k)
 
     code = 0
     if args.verify:

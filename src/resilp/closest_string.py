@@ -29,7 +29,8 @@ from .errors import (
     ScenarioError,
     ValidationError,
 )
-from .ilp import IntAssignment, LinearRow, Rel, VarBounds, VarId
+from .ilp import IntAssignment, LinearRow, Rel, make_vars
+from .jsonio import read_object
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,6 @@ class StringMatrix:
     def column(self, j: int) -> Tuple[str, ...]:
         return tuple(row[j] for row in self.rows)
 
-    def columns(self) -> List[Tuple[str, ...]]:
-        return [self.column(j) for j in range(self.length)]
-
 
 def _ranked_symbols(column: Sequence[str], alphabet: Alphabet) -> List[str]:
     """Alphabet symbols by descending frequency in the column, ties by
@@ -140,17 +138,6 @@ def denormalize_rows(
             raise ValidationError("string length does not match the bijections")
         out.append("".join(inverses[j][cell] for j, cell in enumerate(row)))
     return tuple(out)
-
-
-def bell_number(k: int) -> int:
-    """Number of set partitions of k items (triangle recurrence)."""
-    row = [1]
-    for _ in range(k - 1):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
-    return row[-1]
 
 
 @dataclass(frozen=True)
@@ -239,15 +226,11 @@ def instance_from_dict(doc) -> Tuple[RcsInstance, Tuple[Dict[str, str], ...]]:
     per-column bijections alongside the instance so callers can translate
     answers back to the original symbols.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError("instance must be an object")
-    extra = set(doc) - {"alphabet", "strings", "d", "m"}
-    if extra:
-        raise ValidationError(f"unknown instance keys: {sorted(extra)}")
-    alphabet_doc = doc.get("alphabet")
+    alphabet_doc, strings, d, m = read_object(
+        doc, ("alphabet", "strings", "d", "m"), "instance"
+    )
     if not isinstance(alphabet_doc, list):
         raise ValidationError("alphabet must be a list of characters")
-    strings = doc.get("strings")
     if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
         raise ValidationError("strings must be a list of strings")
     raw = StringMatrix(Alphabet(tuple(alphabet_doc)), tuple(strings))
@@ -263,7 +246,7 @@ def instance_from_dict(doc) -> Tuple[RcsInstance, Tuple[Dict[str, str], ...]]:
             + ", ".join(map(str, renamed)),
             stacklevel=2,
         )
-    return RcsInstance(matrix, doc.get("d"), doc.get("m")), bijections
+    return RcsInstance(matrix, d, m), bijections
 
 
 def _tkey(cells: Sequence[str]) -> str:
@@ -309,26 +292,15 @@ def encode(
     for ct in column_types(inst.matrix):
         census[ct.cells] = ct.count
 
-    z_specs = []
-    for src in types:
-        for dst in types:
-            z_specs.append((_zname(src, dst), 0, census[src]))
-    for t in types:
-        z_specs.append((_cname(t), 0, L))
-    z_vars = tuple(
-        (VarId(i, name), VarBounds(lo, hi))
-        for i, (name, lo, hi) in enumerate(z_specs)
+    z_vars = make_vars(
+        [(_zname(src, dst), 0, census[src]) for src in types for dst in types]
+        + [(_cname(t), 0, L) for t in types]
     )
-    zid = {name: vid for (vid, _), (name, _lo, _hi) in zip(z_vars, z_specs)}
-
-    x_specs = [
-        (_xname(t, sym), 0, L) for t in types for sym in alphabet.symbols
-    ]
-    x_vars = tuple(
-        (VarId(i, name), VarBounds(lo, hi))
-        for i, (name, lo, hi) in enumerate(x_specs)
+    zid = {vid.name: vid for vid, _ in z_vars}
+    x_vars = make_vars(
+        [(_xname(t, sym), 0, L) for t in types for sym in alphabet.symbols]
     )
-    xid = {name: vid for (vid, _), (name, _lo, _hi) in zip(x_vars, x_specs)}
+    xid = {vid.name: vid for vid, _ in x_vars}
 
     rows_z: List[LinearRow] = []
     # every source column goes somewhere
@@ -451,9 +423,9 @@ def decode_solution(
     """Per-type symbol counts -> a concrete center string.
 
     Leftmost columns of each type get the earliest symbols.  The census
-    must match the corrupted matrix exactly (asserted: a mismatch means
-    the solver and encoder disagree), and the result is validated against
-    the distance contract before being returned.
+    must match the corrupted matrix exactly, and the result is validated
+    against the distance contract before being returned; a breach of
+    either raises :class:`ValidationError`.
     """
     values = x_values.by_name()
     L = corrupted.length
@@ -461,7 +433,8 @@ def decode_solution(
     positions: Dict[Tuple[str, ...], List[int]] = {t: [] for t in types}
     for j in range(L):
         column = corrupted.column(j)
-        assert column in positions, "corrupted matrix has an unknown column type"
+        if column not in positions:
+            raise ValidationError("corrupted matrix has an unknown column type")
         positions[column].append(j)
 
     chars: List[Optional[str]] = [None] * L
@@ -470,16 +443,19 @@ def decode_solution(
         cursor = 0
         for sym in inst.matrix.alphabet.symbols:
             count = values.get(_xname(t, sym), 0)
-            assert count >= 0, "negative symbol count"
-            for _ in range(count):
-                assert cursor < len(queue), (
+            if count < 0:
+                raise ValidationError("negative symbol count")
+            if cursor + count > len(queue):
+                raise ValidationError(
                     f"more answers for type {_tkey(t)} than columns"
                 )
+            for _ in range(count):
                 chars[queue[cursor]] = sym
                 cursor += 1
-        assert cursor == len(queue), (
-            f"type {_tkey(t)}: {cursor} answers for {len(queue)} columns"
-        )
+        if cursor != len(queue):
+            raise ValidationError(
+                f"type {_tkey(t)}: {cursor} answers for {len(queue)} columns"
+            )
     center = "".join(chars)
     if per_row_distance:
         for i, row in enumerate(corrupted.rows):

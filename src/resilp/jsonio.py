@@ -12,7 +12,7 @@ emptying the adversary's domain.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .engine import ResiliencySystem, ResiliencyVerdict
 from .errors import ValidationError
@@ -45,33 +45,40 @@ def _require(cond: bool, message: str):
         raise ValidationError(message)
 
 
+def read_object(doc, keys: Sequence[str], what: str) -> tuple:
+    """The values of ``keys`` in ``doc``, in ``keys`` order.
+
+    Every reader of an input document goes through here: ``doc`` must be
+    an object holding exactly ``keys``, so a missing key is never read as
+    a default and an unknown one never passes unnoticed.
+    """
+    _require(isinstance(doc, dict), f"{what} must be an object")
+    missing = [key for key in keys if key not in doc]
+    _require(not missing, f"missing {what} keys: {missing}")
+    extra = set(doc) - set(keys)
+    _require(not extra, f"unknown {what} keys: {sorted(extra)}")
+    return tuple(doc[key] for key in keys)
+
+
 def _variables_from_list(items) -> list:
     _require(isinstance(items, list), "variables must be a list")
     out = []
     for entry in items:
-        _require(isinstance(entry, dict), "each variable must be an object")
-        extra = set(entry) - {"name", "lower", "upper"}
-        _require(not extra, f"unknown variable keys: {sorted(extra)}")
-        name = entry.get("name")
+        name, lo, hi = read_object(entry, ("name", "lower", "upper"), "variable")
         _require(isinstance(name, str) and name, "variable name must be a string")
-        lo, hi = entry.get("lower"), entry.get("upper")
         out.append((name, VarBounds(lo, hi)))
     return out
 
 
 def _row_from_dict(entry, byname) -> LinearRow:
-    _require(isinstance(entry, dict), "each row must be an object")
-    extra = set(entry) - {"coeffs", "rel", "rhs"}
-    _require(not extra, f"unknown row keys: {sorted(extra)}")
-    coeffs_doc = entry.get("coeffs")
+    coeffs_doc, rel, rhs = read_object(entry, ("coeffs", "rel", "rhs"), "row")
     _require(isinstance(coeffs_doc, dict), "row coeffs must be an object")
     coeffs = {}
     for name, value in coeffs_doc.items():
         _require(name in byname, f"row references unknown variable {name!r}")
         coeffs[byname[name]] = parse_rational(value)
-    rel = entry.get("rel")
     _require(rel in (Rel.LEQ.value, Rel.EQ.value), f"bad relation: {rel!r}")
-    return LinearRow(coeffs, Rel(rel), parse_rational(entry.get("rhs")))
+    return LinearRow(coeffs, Rel(rel), parse_rational(rhs))
 
 
 def system_to_dict(system: LinearSystem) -> dict:
@@ -82,16 +89,13 @@ def system_to_dict(system: LinearSystem) -> dict:
 
 
 def system_from_dict(doc: Mapping) -> LinearSystem:
-    _require(isinstance(doc, dict), "system document must be an object")
-    extra = set(doc) - {"variables", "rows"}
-    _require(not extra, f"unknown system keys: {sorted(extra)}")
-    named = _variables_from_list(doc.get("variables", []))
+    variables_doc, rows_doc = read_object(doc, ("variables", "rows"), "system")
+    named = _variables_from_list(variables_doc)
     variables = tuple(
         (VarId(i, name), bounds) for i, (name, bounds) in enumerate(named)
     )
     byname = {vid.name: vid for vid, _ in variables}
     _require(len(byname) == len(variables), "duplicate variable names")
-    rows_doc = doc.get("rows", [])
     _require(isinstance(rows_doc, list), "rows must be a list")
     rows = tuple(_row_from_dict(r, byname) for r in rows_doc)
     return LinearSystem(variables, rows)
@@ -119,10 +123,9 @@ def resiliency_to_dict(system: ResiliencySystem) -> dict:
 
 
 def resiliency_from_dict(doc: Mapping) -> ResiliencySystem:
-    _require(isinstance(doc, dict), "system document must be an object")
-    extra = set(doc) - {"variables", "zvars", "rows"}
-    _require(not extra, f"unknown system keys: {sorted(extra)}")
-    znames_doc = doc.get("zvars", [])
+    variables_doc, znames_doc, rows_doc = read_object(
+        doc, ("variables", "zvars", "rows"), "system"
+    )
     _require(
         isinstance(znames_doc, list)
         and all(isinstance(n, str) for n in znames_doc),
@@ -130,7 +133,7 @@ def resiliency_from_dict(doc: Mapping) -> ResiliencySystem:
     )
     znames = set(znames_doc)
     _require(len(znames) == len(znames_doc), "duplicate names in zvars")
-    named = _variables_from_list(doc.get("variables", []))
+    named = _variables_from_list(variables_doc)
     all_names = [name for name, _ in named]
     _require(len(set(all_names)) == len(all_names), "duplicate variable names")
     missing = znames - set(all_names)
@@ -141,7 +144,6 @@ def resiliency_from_dict(doc: Mapping) -> ResiliencySystem:
     z_vars = tuple((VarId(i, n), b) for i, (n, b) in enumerate(z_named))
     byname = {vid.name: vid for vid, _ in x_vars}
     byname.update({vid.name: vid for vid, _ in z_vars})
-    rows_doc = doc.get("rows", [])
     _require(isinstance(rows_doc, list), "rows must be a list")
     rows_x, rows_xz, rows_z = [], [], []
     for entry in rows_doc:

@@ -10,11 +10,12 @@ the plain side must then assign every job so each machine finishes by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .engine import ResiliencySystem
 from .errors import ValidationError
-from .ilp import IntAssignment, LinearRow, Rel, VarBounds, VarId
+from .ilp import IntAssignment, LinearRow, Rel, make_vars
+from .jsonio import read_object
 
 
 @dataclass(frozen=True)
@@ -66,29 +67,17 @@ class SchedulingInstance:
 
     @staticmethod
     def from_dict(doc) -> "SchedulingInstance":
-        if not isinstance(doc, dict):
-            raise ValidationError("instance must be an object")
-        wanted = {"machines", "ptimes", "counts", "K", "cmax"}
-        extra = set(doc) - wanted
-        if extra:
-            raise ValidationError(f"unknown instance keys: {sorted(extra)}")
-        missing = wanted - set(doc)
-        if missing:
-            raise ValidationError(f"missing instance keys: {sorted(missing)}")
-        ptimes = doc["ptimes"]
+        machines, ptimes, counts, K, cmax = read_object(
+            doc, ("machines", "ptimes", "counts", "K", "cmax"), "instance"
+        )
         if not isinstance(ptimes, list) or not all(
             isinstance(r, list) for r in ptimes
         ):
             raise ValidationError("ptimes must be a list of per-type lists")
-        counts = doc["counts"]
         if not isinstance(counts, list):
             raise ValidationError("counts must be a list")
         return SchedulingInstance(
-            doc["machines"],
-            tuple(tuple(r) for r in ptimes),
-            tuple(counts),
-            doc["K"],
-            doc["cmax"],
+            machines, tuple(tuple(r) for r in ptimes), tuple(counts), K, cmax
         )
 
     def to_dict(self) -> dict:
@@ -117,19 +106,10 @@ def encode(inst: SchedulingInstance) -> ResiliencySystem:
     when the processing time is zero, so each machine's row mentions its
     full column of assignment variables.
     """
-    z_vars = tuple(
-        (VarId(i, _dname(i)), VarBounds(0, inst.K))
-        for i in range(inst.machines)
-    )
-    did = {i: vid for i, (vid, _) in enumerate(z_vars)}
-
-    x_vars = []
-    xid: Dict[Tuple[int, int], VarId] = {}
-    for t in range(inst.ntypes):
-        for i in range(inst.machines):
-            vid = VarId(len(x_vars), _xname(t, i))
-            xid[(t, i)] = vid
-            x_vars.append((vid, VarBounds(0, inst.counts[t])))
+    z_vars = make_vars([(_dname(i), 0, inst.K) for i in range(inst.machines)])
+    pairs = [(t, i) for t in range(inst.ntypes) for i in range(inst.machines)]
+    x_vars = make_vars([(_xname(t, i), 0, inst.counts[t]) for t, i in pairs])
+    xid = {pair: vid for pair, (vid, _) in zip(pairs, x_vars)}
 
     # total delay the adversary may hand out
     rows_z = (
@@ -150,12 +130,10 @@ def encode(inst: SchedulingInstance) -> ResiliencySystem:
     rows_xz = []
     for i in range(inst.machines):
         coeffs = {xid[(t, i)]: inst.ptimes[t][i] for t in range(inst.ntypes)}
-        coeffs[did[i]] = 1
+        coeffs[z_vars[i][0]] = 1
         rows_xz.append(LinearRow(coeffs, Rel.LEQ, inst.cmax))
 
-    return ResiliencySystem(
-        tuple(x_vars), z_vars, rows_x, tuple(rows_xz), tuple(rows_z)
-    )
+    return ResiliencySystem(x_vars, z_vars, rows_x, tuple(rows_xz), rows_z)
 
 
 def decode_scenario(inst: SchedulingInstance, scenario: IntAssignment) -> Tuple[int, ...]:
@@ -179,8 +157,8 @@ def decode_schedule(
 ) -> List[List[int]]:
     """Assignment counts -> ``table[i][t]`` jobs of type t on machine i.
 
-    Asserts the count rows (solver output is trusted to be a solution) and
-    validates the finish-time contract for every machine.
+    Validates the count rows and the finish-time contract for every
+    machine, raising :class:`ValidationError` on a breach.
     """
     values = x_values.by_name()
     table = [
@@ -189,9 +167,10 @@ def decode_schedule(
     ]
     for t in range(inst.ntypes):
         placed = sum(table[i][t] for i in range(inst.machines))
-        assert placed == inst.counts[t], (
-            f"type {t}: placed {placed} of {inst.counts[t]} jobs"
-        )
+        if placed != inst.counts[t]:
+            raise ValidationError(
+                f"type {t}: placed {placed} of {inst.counts[t]} jobs"
+            )
     for i in range(inst.machines):
         load = delays[i] + sum(
             inst.ptimes[t][i] * table[i][t] for t in range(inst.ntypes)

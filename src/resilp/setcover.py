@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import ResiliencySystem
 from .errors import ArgumentError, BudgetError, ScenarioError, ValidationError
-from .ilp import IntAssignment, LinearRow, Rel, VarBounds, VarId
+from .ilp import IntAssignment, LinearRow, Rel, make_vars
+from .jsonio import read_object
 
 
 @dataclass(frozen=True)
@@ -63,22 +64,15 @@ class RdscpInstance:
 
     @classmethod
     def from_dict(cls, doc) -> "RdscpInstance":
-        if not isinstance(doc, dict):
-            raise ValidationError("instance must be an object")
-        extra = set(doc) - {"n", "family", "s", "d", "t"}
-        if extra:
-            raise ValidationError(f"unknown instance keys: {sorted(extra)}")
-        family = doc.get("family")
+        n, family, s, d, t = read_object(
+            doc, ("n", "family", "s", "d", "t"), "instance"
+        )
         if not isinstance(family, list) or not all(
             isinstance(m, list) for m in family
         ):
             raise ValidationError("family must be a list of lists")
         return cls(
-            n=doc.get("n"),
-            family=tuple(frozenset(m) for m in family),
-            s=doc.get("s"),
-            d=doc.get("d"),
-            t=doc.get("t"),
+            n=n, family=tuple(frozenset(m) for m in family), s=s, d=d, t=t
         )
 
     def to_dict(self) -> dict:
@@ -165,15 +159,12 @@ def encode(
     groups = groups_of(inst)
     patterns = cover_patterns(inst, groups, max_patterns=max_patterns)
 
-    x_vars = tuple(
-        (VarId(i, _xname(p)), VarBounds(0, inst.d)) for i, p in enumerate(patterns)
+    x_vars = make_vars([(_xname(p), 0, inst.d) for p in patterns])
+    z_vars = make_vars(
+        [(_zname(g.content), 0, min(inst.s, g.multiplicity)) for g in groups]
     )
-    z_vars = tuple(
-        (VarId(i, _zname(g.content)), VarBounds(0, min(inst.s, g.multiplicity)))
-        for i, g in enumerate(groups)
-    )
-    xid = {p: x_vars[i][0] for i, p in enumerate(patterns)}
-    zid = {g.content: z_vars[i][0] for i, g in enumerate(groups)}
+    xid = {p: vid for p, (vid, _) in zip(patterns, x_vars)}
+    zid = {g.content: vid for g, (vid, _) in zip(groups, z_vars)}
 
     # at least d covers in total
     rows_x = (
@@ -236,8 +227,8 @@ def decode_solution(
     """Pattern counts -> ``d`` concrete disjoint covers (copy index tuples).
 
     Copies are consumed in index order, skipping ``removed``.  The counts
-    must satisfy the substituted system; running out of copies here means
-    the encoder and solver disagree, which is a bug, hence the asserts.
+    must satisfy the substituted system; counts that do not raise
+    :class:`ValidationError`.
     """
     groups = groups_of(inst)
     patterns = cover_patterns(inst, groups)
@@ -249,17 +240,22 @@ def decode_solution(
     families: List[Tuple[int, ...]] = []
     for p in patterns:
         count = values.get(_xname(p), 0)
-        assert 0 <= count <= inst.d, "pattern count outside its box"
+        if not 0 <= count <= inst.d:
+            raise ValidationError("pattern count outside its box")
         for _ in range(count):
             if len(families) == inst.d:
                 break
             member_ids = []
             for content in p:
                 pool = cursors[content]
-                assert pool, "ran out of copies while realizing a pattern"
+                if not pool:
+                    raise ValidationError(
+                        "ran out of copies while realizing a pattern"
+                    )
                 member_ids.append(pool.pop(0))
             families.append(tuple(member_ids))
-    assert len(families) == inst.d, "fewer covers than required"
+    if len(families) != inst.d:
+        raise ValidationError("fewer covers than required")
     return tuple(families)
 
 
@@ -340,24 +336,26 @@ class AuthorizationPolicy:
 
     @classmethod
     def from_dict(cls, doc) -> "AuthorizationPolicy":
-        if not isinstance(doc, dict):
-            raise ValidationError("policy must be an object")
-        extra = set(doc) - {"users", "resources", "vr", "p", "s", "d", "t"}
-        if extra:
-            raise ValidationError(f"unknown policy keys: {sorted(extra)}")
-        vr = doc.get("vr")
+        users, resources, vr, p, s, d, t = read_object(
+            doc, ("users", "resources", "vr", "p", "s", "d", "t"), "policy"
+        )
+        for label, names in (("users", users), ("resources", resources), ("p", p)):
+            if not isinstance(names, list) or not all(
+                isinstance(name, str) for name in names
+            ):
+                raise ValidationError(f"{label} must be a list of strings")
         if not isinstance(vr, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in vr
         ):
             raise ValidationError("vr must be a list of [user, resource] pairs")
         return cls(
-            users=tuple(doc.get("users", [])),
-            resources=tuple(doc.get("resources", [])),
+            users=tuple(users),
+            resources=tuple(resources),
             vr=frozenset((u, r) for u, r in vr),
-            p=tuple(doc.get("p", [])),
-            s=doc.get("s"),
-            d=doc.get("d"),
-            t=doc.get("t"),
+            p=tuple(p),
+            s=s,
+            d=d,
+            t=t,
         )
 
     def to_dict(self) -> dict:
@@ -415,11 +413,14 @@ def gen_from_hitting_set(
         raise ArgumentError("k must be a non-negative integer")
     cleaned = []
     for s in sets:
+        if not isinstance(s, (list, tuple)) or not all(
+            isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
+            for v in s
+        ):
+            raise ArgumentError(f"set {s!r} is not a list of vertices 1..{n}")
         members = sorted(set(s))
-        if len(members) != len(list(s)):
+        if len(members) != len(s):
             raise ArgumentError(f"set {list(s)} repeats a vertex")
-        if not all(isinstance(v, int) and 1 <= v <= n for v in members):
-            raise ArgumentError(f"set {list(s)} leaves the vertex range 1..{n}")
         cleaned.append(tuple(members))
     sizes = {len(s) for s in cleaned}
     if len(sizes) > 1:
@@ -483,13 +484,12 @@ def gen_from_3dm(
         raise ArgumentError("k must be a positive integer")
     cleaned = []
     for tr in triples:
-        tr = tuple(tr)
-        if len(tr) != 3 or not all(
+        if not isinstance(tr, (list, tuple)) or len(tr) != 3 or not all(
             isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
             for v in tr
         ):
             raise ArgumentError(f"malformed triple: {tr!r}")
-        cleaned.append(tr)
+        cleaned.append(tuple(tr))
     if len(set(cleaned)) != len(cleaned):
         raise ArgumentError("duplicate triples")
 

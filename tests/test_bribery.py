@@ -16,7 +16,7 @@ from resilp.bribery import (
 )
 from resilp.engine import check_resiliency, enumerate_scenarios, substitute
 from resilp.errors import ArgumentError, BudgetError, ValidationError
-from resilp.ilp import solve_feasibility
+from resilp.ilp import IntAssignment, VarId, solve_feasibility
 from resilp.oracles import _swap_cost, bribery_oracle, bribery_response_exists
 
 
@@ -234,3 +234,22 @@ def test_budget_monotonicity():
         richer_response += 1
     assert weaker_adversary > 3
     assert richer_response > 5
+
+
+def test_decode_rejects_a_flow_that_breaks_the_census():
+    inst = BriberyInstance(Election(2, {(1, 2): 1}, (1, 0)), 0, 0)
+    with pytest.raises(ValidationError, match="census says 1"):
+        decode_bribery(inst, "adversary", IntAssignment({}))
+    moved = IntAssignment({VarId(0, "z[12->21]"): 1})
+    with pytest.raises(ValidationError, match="budget 0"):
+        decode_bribery(inst, "adversary", moved)
+
+
+def test_vote_counts_are_read_as_given():
+    doc = {"candidates": 2, "votes": [{"order": [1, 2], "count": True}],
+           "scoring": [1, 0], "ba": 0, "b": 0}
+    with pytest.raises(ValidationError, match="voter counts"):
+        BriberyInstance.from_dict(doc)
+    doc["votes"] = [{"order": [1, 2], "count": -1}, {"order": [1, 2], "count": 2}]
+    with pytest.raises(ValidationError, match="voter counts"):
+        BriberyInstance.from_dict(doc)

@@ -291,6 +291,10 @@ def test_gen_verification_failure_exits_3(tmp_path, capsys, monkeypatch):
 def test_gen_malformed_source_exits_2(tmp_path, capsys):
     src = write(tmp_path, {"n": 2, "k": 1})
     assert run(capsys, "gen", "--reduction", "hitting-set", src)[0] == 2
+    # members are read as given: no float truncation, no string coercion
+    for members in ([1.9, 2.5], ["1", "2"], [True, 2]):
+        src = write(tmp_path, {"n": 2, "sets": [members], "k": 1}, "m.json")
+        assert run(capsys, "gen", "--reduction", "hitting-set", src)[0] == 2
     src = write(tmp_path, {"n": 1, "triples": [[1, 1]], "k": 1}, "t.json")
     assert run(capsys, "gen", "--reduction", "3dm", src)[0] == 2
 

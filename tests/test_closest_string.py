@@ -10,7 +10,6 @@ from resilp.closest_string import (
     RcsInstance,
     StringMatrix,
     all_types,
-    bell_number,
     column_types,
     decode_scenario,
     decode_solution,
@@ -29,7 +28,7 @@ from resilp.errors import (
     ScenarioError,
     ValidationError,
 )
-from resilp.ilp import solve_feasibility
+from resilp.ilp import IntAssignment, VarId, solve_feasibility
 from resilp.oracles import closest_string_oracle, rcs_oracle
 
 AB = Alphabet(("a", "b"))
@@ -120,10 +119,6 @@ def test_unnormalized_input_names_the_column():
     with pytest.raises(NormalizationError) as err:
         column_types(_matrix("ab", "ab"))
     assert "1" in str(err.value)
-
-
-def test_bell_numbers():
-    assert [bell_number(k) for k in range(1, 6)] == [1, 2, 5, 15, 52]
 
 
 def test_all_types_enumeration():
@@ -230,8 +225,6 @@ def test_decoded_scenarios_census_checks_out():
 
 
 def test_decode_scenario_rejects_foreign_names():
-    from resilp.ilp import IntAssignment, VarId
-
     inst = RcsInstance(_matrix("a"), 0, 0)
     with pytest.raises(ScenarioError):
         decode_scenario(inst, IntAssignment({VarId(0, "z[aa->ab]"): 0}))
@@ -365,3 +358,13 @@ def test_instance_ingest_round_trip_when_already_normalized():
 def test_bad_instance_documents_rejected(doc):
     with pytest.raises(ValidationError):
         instance_from_dict(doc)
+
+
+def test_decode_solution_rejects_counts_that_miss_the_census():
+    inst = RcsInstance(StringMatrix(AB, ("a",)), 0, 0)
+    zero = IntAssignment({VarId(0, "x[a,a]"): 0, VarId(1, "x[a,b]"): 0})
+    with pytest.raises(ValidationError, match="0 answers for 1 columns"):
+        decode_solution(inst, inst.matrix, zero)
+    extra = IntAssignment({VarId(0, "x[a,a]"): 2, VarId(1, "x[a,b]"): 0})
+    with pytest.raises(ValidationError, match="more answers"):
+        decode_solution(inst, inst.matrix, extra)

@@ -1,5 +1,6 @@
 """The schemas in docs/formats.md must hold for live payloads."""
 
+import copy
 import json
 import re
 from pathlib import Path
@@ -11,7 +12,14 @@ from referencing import Registry, Resource
 from resilp import bribery, closest_string, scheduling, setcover
 from resilp.cli import main
 from resilp.engine import check_resiliency
-from resilp.jsonio import resiliency_to_dict, system_to_dict, verdict_to_dict
+from resilp.errors import ValidationError
+from resilp.jsonio import (
+    resiliency_from_dict,
+    resiliency_to_dict,
+    system_from_dict,
+    system_to_dict,
+    verdict_to_dict,
+)
 from resilp.sampling import (
     random_bribery,
     random_rcs,
@@ -143,3 +151,124 @@ def test_cli_raw_decode_report_validates(tmp_path, capsys):
         out = capsys.readouterr().out
         assert code in (0, 1)
         check(json.loads(out), "resilp:report")
+
+
+# --------------------------------------------- schema vs. reader, mutated
+
+READERS = {
+    "resilp:system": system_from_dict,
+    "resilp:resiliency-system": resiliency_from_dict,
+    "resilp:rdscp-instance": setcover.RdscpInstance.from_dict,
+    "resilp:policy-instance": setcover.AuthorizationPolicy.from_dict,
+    "resilp:rcs-instance": closest_string.instance_from_dict,
+    "resilp:sched-instance": scheduling.SchedulingInstance.from_dict,
+    "resilp:bribery-instance": bribery.BriberyInstance.from_dict,
+}
+SOURCES = {"resilp:hitting-set-source": "hitting-set", "resilp:3dm-source": "3dm"}
+
+
+def valid_documents(schema_id):
+    """Seeded valid documents of one schema, with nested objects present."""
+    rng = random.Random(29)
+    if schema_id in ("resilp:system", "resilp:resiliency-system"):
+        systems = [random_system(rng) for _ in range(6)]
+        systems.append(scheduling.encode(random_sched(rng)))
+        docs = [resiliency_to_dict(system) for system in systems]
+        if schema_id == "resilp:system":
+            docs = [{"variables": d["variables"], "rows": d["rows"]} for d in docs]
+        return docs
+    makers = {
+        "resilp:rdscp-instance": random_rdscp,
+        "resilp:rcs-instance": random_rcs,
+        "resilp:sched-instance": random_sched,
+        "resilp:bribery-instance": random_bribery,
+    }
+    if schema_id in makers:
+        return [makers[schema_id](rng).to_dict() for _ in range(6)]
+    return [
+        {
+            "resilp:policy-instance": {
+                "users": ["u1", "u2"],
+                "resources": ["r1", "r2"],
+                "vr": [["u1", "r1"], ["u2", "r2"]],
+                "p": ["r1"],
+                "s": 1,
+                "d": 1,
+                "t": 1,
+            },
+            "resilp:hitting-set-source": {"n": 3, "sets": [[1, 2], [2, 3]], "k": 1},
+            "resilp:3dm-source": {"n": 2, "triples": [[1, 1, 2], [2, 2, 1]], "k": 2},
+        }[schema_id]
+    ]
+
+
+def _objects(node, path=()):
+    """Every object in a document, with its path; a list stands for itself
+    by its first entry."""
+    if isinstance(node, dict):
+        yield path, node
+        for key, value in node.items():
+            yield from _objects(value, path + (key,))
+    elif isinstance(node, list) and node:
+        yield from _objects(node[0], path + (0,))
+
+
+def _replaced(doc, path, obj):
+    """A copy of ``doc`` with the object at ``path`` swapped for ``obj``."""
+    if not path:
+        return obj
+    out = copy.deepcopy(doc)
+    parent = out
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = obj
+    return out
+
+
+def mutants(doc):
+    """(label, document) pairs: in every object, each key dropped, an
+    unknown key added, and each array field turned into a string."""
+    for path, obj in list(_objects(doc)):
+        for key in obj:
+            rest = {k: v for k, v in obj.items() if k != key}
+            yield f"{path} without {key!r}", _replaced(doc, path, rest)
+        yield f"{path} with an unknown key", _replaced(doc, path, {**obj, "extra": 0})
+        for key, value in obj.items():
+            if isinstance(value, list):
+                for text in ("", "ab"):
+                    label = f"{path} with {key!r} = {text!r}"
+                    yield label, _replaced(doc, path, {**obj, key: text})
+
+
+def schema_rejects(doc, schema_id):
+    validator = Draft202012Validator(SCHEMAS[schema_id], registry=REGISTRY)
+    return not validator.is_valid(doc)
+
+
+@pytest.mark.parametrize("schema_id", sorted(READERS) + sorted(SOURCES))
+def test_readers_reject_what_the_schema_rejects(schema_id, tmp_path, capsys):
+    rejected, missed = 0, []
+    for doc in valid_documents(schema_id):
+        check(doc, schema_id)
+        for label, mutant in mutants(doc):
+            if not schema_rejects(mutant, schema_id):
+                continue
+            rejected += 1
+            if schema_id in SOURCES:
+                path = tmp_path / "source.json"
+                path.write_text(json.dumps(mutant))
+                code = main(["gen", "--reduction", SOURCES[schema_id], str(path)])
+                capsys.readouterr()
+                if code != 2:
+                    missed.append((label, f"exit {code}"))
+                continue
+            try:
+                READERS[schema_id](mutant)
+            except ValidationError:
+                continue
+            except Exception as exc:  # noqa: BLE001 - reported below
+                missed.append((label, repr(exc)))
+            else:
+                missed.append((label, "accepted"))
+    assert rejected > 0
+    assert not missed, missed

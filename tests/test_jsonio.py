@@ -71,6 +71,15 @@ def test_system_survives_json_text():
          "rows": [{"coeffs": {"x": 1.5}, "rel": "<=", "rhs": 0}]},
         {"variables": [{"name": "x", "lower": 0, "upper": 1},
                        {"name": "x", "lower": 0, "upper": 1}], "rows": []},
+        # every listed key is required; nothing is read as a default
+        {"rows": []},
+        {"variables": []},
+        {"variables": [{"name": "x", "lower": 0}], "rows": []},
+        {"variables": [{"lower": 0, "upper": 1}], "rows": []},
+        {"variables": [{"name": "x", "lower": 0, "upper": 1}],
+         "rows": [{"coeffs": {"x": 1}, "rel": "<="}]},
+        {"variables": [{"name": "x", "lower": 0, "upper": 1}],
+         "rows": [{"rel": "<=", "rhs": 0}]},
     ],
 )
 def test_bad_system_documents_rejected(doc):

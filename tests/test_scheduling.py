@@ -1,7 +1,11 @@
 """Makespan-with-delays encoder and its decoders."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,30 @@ def test_zero_jobs_always_schedulable():
     scenario = next(enumerate_scenarios(system))
     x = solve_feasibility(substitute(system, scenario))
     assert decode_schedule(inst, decode_scenario(inst, scenario), x) == [[0], [0]]
+
+
+def test_decode_schedule_rejects_a_short_placement_under_optimize():
+    # python -O strips asserts; the count-row check must not be one
+    script = (
+        "from resilp.errors import ValidationError\n"
+        "from resilp.ilp import IntAssignment, VarId\n"
+        "from resilp.scheduling import SchedulingInstance, decode_schedule\n"
+        "inst = SchedulingInstance(2, ((1, 1),), (2,), 0, 2)\n"
+        "x = IntAssignment({VarId(0, 'x[0,0]'): 0, VarId(1, 'x[0,1]'): 0})\n"
+        "try:\n"
+        "    print(decode_schedule(inst, (0, 0), x))\n"
+        "except ValidationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_decode_scenario_validation():

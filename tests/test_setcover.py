@@ -8,7 +8,7 @@ import pytest
 
 from resilp.engine import check_resiliency, enumerate_scenarios, substitute
 from resilp.errors import ArgumentError, BudgetError, ScenarioError, ValidationError
-from resilp.ilp import solve_feasibility
+from resilp.ilp import IntAssignment, VarId, solve_feasibility
 from resilp.oracles import (
     hitting_set_oracle,
     matching_3dm_oracle,
@@ -119,8 +119,6 @@ def test_decode_scenario_examples():
 
 
 def test_decode_scenario_rejects_bad_assignments():
-    from resilp.ilp import IntAssignment, VarId
-
     inst = _inst(1, [(1,)], 1, 1, 1)
     with pytest.raises(ScenarioError):
         decode_scenario(inst, IntAssignment({VarId(0, "z[1]"): 2}))
@@ -144,6 +142,16 @@ def test_decode_solution_uses_distinct_copies():
     families = decode_solution(inst, x, ())
     assert sorted(i for fam in families for i in fam) == [0, 1]
     validate_packing(inst, families)
+
+
+def test_decode_solution_rejects_counts_that_break_the_system():
+    inst = RdscpInstance(1, ((1,),), 0, 1, 1)
+    with pytest.raises(ValidationError, match="outside its box"):
+        decode_solution(inst, IntAssignment({VarId(0, "x[1]"): 2}), ())
+    with pytest.raises(ValidationError, match="fewer covers"):
+        decode_solution(inst, IntAssignment({VarId(0, "x[1]"): 0}), ())
+    with pytest.raises(ValidationError, match="ran out of copies"):
+        decode_solution(inst, IntAssignment({VarId(0, "x[1]"): 1}), (0,))
 
 
 def test_full_pipeline_on_the_two_spare_example():
@@ -344,6 +352,8 @@ def test_hitting_set_generator_rejects_bad_input():
         gen_from_hitting_set(3, ((1, 2), (1, 2, 3)), 1)  # not uniform
     with pytest.raises(ArgumentError):
         gen_from_hitting_set(2, ((1, 5),), 1)  # vertex outside range
+    with pytest.raises(ArgumentError):
+        gen_from_hitting_set(2, ((True, 2),), 1)  # a bool is not a vertex
 
 
 def test_3dm_generator_matches_matching_oracle():
