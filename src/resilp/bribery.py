@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .engine import ResiliencySystem
 from .errors import ArgumentError, BudgetError, ValidationError
 from .ilp import IntAssignment, LinearRow, Rel, make_vars
-from .jsonio import read_object
+from .jsonio import read_object, require_int, require_ints, require_seq
 
 
 def kendall(a: Sequence[int], b: Sequence[int]) -> int:
@@ -50,9 +50,10 @@ class Election:
     """Candidate count, voter census by preference order, scoring vector.
 
     ``census`` maps an order to how many voters hold it; orders absent
-    from the map hold zero voters.  The scoring vector awards
-    ``scoring[r]`` points to the candidate at rank ``r`` and must be
-    nonincreasing.
+    from the map hold zero voters.  It may also be given as a sequence of
+    ``(order, count)`` pairs, as a document's votes are; repeated orders
+    then add up.  The scoring vector awards ``scoring[r]`` points to the
+    candidate at rank ``r`` and must be nonincreasing.
     """
 
     m: int
@@ -60,27 +61,25 @@ class Election:
     scoring: Tuple[int, ...]
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
-            raise ValidationError("candidate count must be an integer >= 1")
-        object.__setattr__(self, "scoring", tuple(self.scoring))
-        if len(self.scoring) != self.m:
+        m = require_int(self.m, "candidate count", 1)
+        scoring = require_ints(self.scoring, "scoring entries")
+        if len(scoring) != m:
             raise ValidationError("scoring vector needs one entry per candidate")
-        for v in self.scoring:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValidationError("scoring entries must be integers")
-        if any(
-            self.scoring[r] < self.scoring[r + 1] for r in range(self.m - 1)
-        ):
+        if any(scoring[r] < scoring[r + 1] for r in range(m - 1)):
             raise ValidationError("scoring vector must be nonincreasing")
-        full = set(range(1, self.m + 1))
+        votes = (
+            self.census.items()
+            if isinstance(self.census, dict)
+            else require_seq(self.census, "votes")
+        )
+        full = list(range(1, m + 1))
         clean = {}
-        for order, count in self.census.items():
-            order = tuple(order)
-            if set(order) != full or len(order) != self.m:
-                raise ValidationError(f"not a permutation of 1..{self.m}: {order}")
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise ValidationError("voter counts must be integers >= 0")
-            clean[order] = clean.get(order, 0) + count
+        for order, count in votes:
+            order = require_ints(order, "vote order")
+            if sorted(order) != full:
+                raise ValidationError(f"not a permutation of 1..{m}: {order}")
+            clean[order] = clean.get(order, 0) + require_int(count, "voter counts", 0)
+        object.__setattr__(self, "scoring", scoring)
         object.__setattr__(self, "census", clean)
 
     @property
@@ -111,30 +110,19 @@ class BriberyInstance:
     b: int
 
     def __post_init__(self):
-        for label, value in (("ba", self.ba), ("b", self.b)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValidationError(f"{label} must be an integer >= 0")
+        require_int(self.ba, "ba", 0)
+        require_int(self.b, "b", 0)
 
     @staticmethod
     def from_dict(doc) -> "BriberyInstance":
         candidates, votes, scoring, ba, b = read_object(
             doc, ("candidates", "votes", "scoring", "ba", "b"), "instance"
         )
-        if not isinstance(votes, list):
-            raise ValidationError("votes must be a list")
-        census: Dict[Tuple[int, ...], int] = {}
-        for entry in votes:
-            order, count = read_object(entry, ("order", "count"), "vote entry")
-            if not isinstance(order, list):
-                raise ValidationError("vote order must be a list")
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise ValidationError("voter counts must be integers >= 0")
-            key = tuple(order)
-            census[key] = census.get(key, 0) + count
-        if not isinstance(scoring, list):
-            raise ValidationError("scoring must be a list")
-        election = Election(candidates, census, tuple(scoring))
-        return BriberyInstance(election, ba, b)
+        pairs = [
+            read_object(entry, ("order", "count"), "vote entry")
+            for entry in require_seq(votes, "votes")
+        ]
+        return BriberyInstance(Election(candidates, pairs, scoring), ba, b)
 
     def to_dict(self) -> dict:
         votes = [

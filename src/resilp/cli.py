@@ -276,38 +276,25 @@ def cmd_check(args) -> int:
     }
     code = 0 if verdict.resilient else 1
 
-    if args.oracle:
-        from . import oracles
-
-        if args.raw:
-            answer = oracles.forall_exists_oracle(system, max_points=args.max_points)
-        else:
+    for key, wanted in (("oracle", args.oracle), ("exhaustive", args.exhaustive)):
+        if not wanted:
+            continue
+        if key == "oracle" and problem is not None:
             answer = _oracle_answer(problem, inst, args)
-        report["oracle"] = answer
-        if answer != verdict.resilient:
-            print(
-                f"disagreement: engine={verdict.resilient} oracle={answer}",
-                file=sys.stderr,
-            )
-            code = 3
-    if args.exhaustive:
-        from . import oracles
+        else:
+            from . import oracles
 
-        answer = oracles.forall_exists_oracle(system, max_points=args.max_points)
-        report["exhaustive"] = answer
+            answer = oracles.forall_exists_oracle(system, max_points=args.max_points)
+        report[key] = answer
         if answer != verdict.resilient:
             print(
-                f"disagreement: engine={verdict.resilient} exhaustive={answer}",
+                f"disagreement: engine={verdict.resilient} {key}={answer}",
                 file=sys.stderr,
             )
             code = 3
     if args.decode:
         report["decoded"] = _build_decode(
-            problem,
-            inst,
-            system,
-            verdict,
-            per_row=not getattr(args, "aggregate_distance", False),
+            problem, inst, system, verdict, per_row=not args.aggregate_distance
         )
     _emit(report, args.format)
     return code

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .ilp import IntAssignment, LinearRow, Rel, make_vars
-from .jsonio import read_object
+from .jsonio import read_object, require_int, require_seq
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,15 @@ class Alphabet:
     symbols: Tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
+        symbols = require_seq(self.symbols, "alphabet", str)
+        if not symbols:
             raise ValidationError("alphabet must not be empty")
-        for sym in self.symbols:
-            if not isinstance(sym, str) or len(sym) != 1:
+        for sym in symbols:
+            if len(sym) != 1:
                 raise ValidationError(f"alphabet symbol must be one character: {sym!r}")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValidationError("alphabet symbols must be distinct")
+        object.__setattr__(self, "symbols", symbols)
 
     def index(self, sym: str) -> int:
         return self.symbols.index(sym)
@@ -61,21 +62,22 @@ class StringMatrix:
     rows: Tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if not self.rows:
+        rows = require_seq(self.rows, "strings", str)
+        if not rows:
             raise ValidationError("need at least one string")
-        length = len(self.rows[0])
+        length = len(rows[0])
         if length < 1:
             raise ValidationError("strings must be non-empty")
         allowed = set(self.alphabet.symbols)
-        for row in self.rows:
-            if not isinstance(row, str) or len(row) != length:
+        for row in rows:
+            if len(row) != length:
                 raise ValidationError("strings must share one length")
             stray = set(row) - allowed
             if stray:
                 raise ValidationError(
                     f"symbols outside the alphabet: {sorted(stray)}"
                 )
+        object.__setattr__(self, "rows", rows)
 
     @property
     def k(self) -> int:
@@ -198,16 +200,8 @@ class RcsInstance:
     m: int
 
     def __post_init__(self):
-        for label, value in (("d", self.d), ("m", self.m)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{label} must be an integer")
-        if self.d < 0:
-            raise ValidationError("distance bound must be non-negative")
-        cells = self.matrix.k * self.matrix.length
-        if not 0 <= self.m <= cells:
-            raise ValidationError(
-                f"change budget must lie in [0, {cells}], got {self.m}"
-            )
+        require_int(self.d, "distance bound d", 0)
+        require_int(self.m, "change budget m", 0, self.matrix.k * self.matrix.length)
         column_types(self.matrix)  # raises NormalizationError when not normalized
 
     def to_dict(self) -> dict:
@@ -229,11 +223,7 @@ def instance_from_dict(doc) -> Tuple[RcsInstance, Tuple[Dict[str, str], ...]]:
     alphabet_doc, strings, d, m = read_object(
         doc, ("alphabet", "strings", "d", "m"), "instance"
     )
-    if not isinstance(alphabet_doc, list):
-        raise ValidationError("alphabet must be a list of characters")
-    if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
-        raise ValidationError("strings must be a list of strings")
-    raw = StringMatrix(Alphabet(tuple(alphabet_doc)), tuple(strings))
+    raw = StringMatrix(Alphabet(alphabet_doc), strings)
     matrix, bijections = normalize(raw)
     renamed = [
         j

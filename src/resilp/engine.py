@@ -60,34 +60,22 @@ class ResiliencySystem:
     rows_z: Tuple[LinearRow, ...]
 
     def __post_init__(self):
-        for field in ("x_vars", "z_vars", "rows_x", "rows_xz", "rows_z"):
-            object.__setattr__(self, field, tuple(getattr(self, field)))
-        # Each block is its own dense index space; names are global.
-        names = set()
-        for block in (self.x_vars, self.z_vars):
-            for i, (vid, _) in enumerate(block):
-                if vid.index != i:
-                    raise ValidationError(
-                        f"block indices must be dense: {vid.name!r} has "
-                        f"index {vid.index}, expected {i}"
-                    )
-                if vid.name in names:
-                    raise ValidationError(f"duplicate variable name: {vid.name!r}")
-                names.add(vid.name)
-        xset = {vid for vid, _ in self.x_vars}
-        zset = {vid for vid, _ in self.z_vars}
-        for r, row in enumerate(self.rows_x):
-            if row.support() & zset:
-                raise ValidationError(f"x-row {r} touches adversarial variables")
-            if not row.support() <= xset:
-                raise ValidationError(f"x-row {r} references unknown variables")
-        for r, row in enumerate(self.rows_z):
-            if row.support() & xset:
-                raise ValidationError(f"z-row {r} touches plain variables")
-            if not row.support() <= zset:
-                raise ValidationError(f"z-row {r} references unknown variables")
+        # Each block is its own dense index space, checked as a system of
+        # its own rows; names are global, and mixed rows read both blocks.
+        xsys = LinearSystem(self.x_vars, self.rows_x)
+        zsys = LinearSystem(self.z_vars, self.rows_z)
+        object.__setattr__(self, "x_vars", xsys.variables)
+        object.__setattr__(self, "z_vars", zsys.variables)
+        object.__setattr__(self, "rows_x", xsys.rows)
+        object.__setattr__(self, "rows_xz", tuple(self.rows_xz))
+        object.__setattr__(self, "rows_z", zsys.rows)
+        xnames = {vid.name for vid, _ in self.x_vars}
+        for vid, _ in self.z_vars:
+            if vid.name in xnames:
+                raise ValidationError(f"duplicate variable name: {vid.name!r}")
+        known = {vid for vid, _ in self.x_vars + self.z_vars}
         for r, row in enumerate(self.rows_xz):
-            if not row.support() <= (xset | zset):
+            if not row.support() <= known:
                 raise ValidationError(f"xz-row {r} references unknown variables")
 
     @property

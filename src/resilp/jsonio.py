@@ -60,6 +60,62 @@ def read_object(doc, keys: Sequence[str], what: str) -> tuple:
     return tuple(doc[key] for key in keys)
 
 
+# The field checks every instance constructor runs, so a library caller
+# and a document reader get the same ones.  A bool is never an integer:
+# ``type(v) is int`` rules it out, where ``isinstance`` would not.
+
+_SEQUENCES = (list, tuple, set, frozenset)
+
+
+def _limits(low, high) -> str:
+    if low is not None and high is not None:
+        return f" in [{low}, {high}]"
+    if low is not None:
+        return f" >= {low}"
+    if high is not None:
+        return f" <= {high}"
+    return ""
+
+
+def require_int(value, what: str, low=None, high=None) -> int:
+    """``value``, when it is an integer in ``[low, high]`` (``None``: no
+    limit on that side); otherwise a :class:`ValidationError` naming
+    ``what``."""
+    if (
+        type(value) is not int
+        or (low is not None and value < low)
+        or (high is not None and value > high)
+    ):
+        raise ValidationError(f"{what} must be an integer{_limits(low, high)}")
+    return value
+
+
+def require_seq(value, what: str, item: Optional[type] = None) -> tuple:
+    """``value`` as a tuple, when it is a list, tuple, set or frozenset
+    whose entries are all ``item`` instances (any entry when ``item`` is
+    ``None``)."""
+    if not isinstance(value, _SEQUENCES):
+        raise ValidationError(f"{what} must be a list")
+    value = tuple(value)
+    if item is not None and not all(isinstance(v, item) for v in value):
+        raise ValidationError(f"{what} must be a list of {item.__name__}")
+    return value
+
+
+def require_ints(values, what: str, low=None, high=None) -> tuple:
+    """``values`` as a tuple, when it is a sequence (as for
+    :func:`require_seq`) of integers in ``[low, high]``."""
+    values = require_seq(values, what)
+    for v in values:
+        if (
+            type(v) is not int
+            or (low is not None and v < low)
+            or (high is not None and v > high)
+        ):
+            raise ValidationError(f"{what} must be integers{_limits(low, high)}")
+    return values
+
+
 def _variables_from_list(items) -> list:
     _require(isinstance(items, list), "variables must be a list")
     out = []
@@ -126,11 +182,7 @@ def resiliency_from_dict(doc: Mapping) -> ResiliencySystem:
     variables_doc, znames_doc, rows_doc = read_object(
         doc, ("variables", "zvars", "rows"), "system"
     )
-    _require(
-        isinstance(znames_doc, list)
-        and all(isinstance(n, str) for n in znames_doc),
-        "zvars must be a list of names",
-    )
+    znames_doc = require_seq(znames_doc, "zvars", str)
     znames = set(znames_doc)
     _require(len(znames) == len(znames_doc), "duplicate names in zvars")
     named = _variables_from_list(variables_doc)

@@ -15,7 +15,7 @@ from typing import List, Tuple
 from .engine import ResiliencySystem
 from .errors import ValidationError
 from .ilp import IntAssignment, LinearRow, Rel, make_vars
-from .jsonio import read_object
+from .jsonio import read_object, require_int, require_ints, require_seq
 
 
 @dataclass(frozen=True)
@@ -30,36 +30,25 @@ class SchedulingInstance:
     cmax: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "ptimes", tuple(tuple(row) for row in self.ptimes)
+        machines = require_int(self.machines, "machines", 1)
+        ptimes = tuple(
+            require_ints(row, "processing times", 0)
+            for row in require_seq(self.ptimes, "ptimes")
         )
-        object.__setattr__(self, "counts", tuple(self.counts))
-        for label, value in (
-            ("machines", self.machines),
-            ("K", self.K),
-            ("cmax", self.cmax),
-        ):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{label} must be an integer")
-        if self.machines < 1:
-            raise ValidationError("need at least one machine")
-        if not self.ptimes:
+        counts = require_ints(self.counts, "job counts", 0)
+        require_int(self.K, "K", 0)
+        require_int(self.cmax, "cmax", 0)
+        if not ptimes:
             raise ValidationError("need at least one job type")
-        if len(self.counts) != len(self.ptimes):
+        if len(counts) != len(ptimes):
             raise ValidationError("one job count per type required")
-        for t, row in enumerate(self.ptimes):
-            if len(row) != self.machines:
+        for t, row in enumerate(ptimes):
+            if len(row) != machines:
                 raise ValidationError(
-                    f"type {t} needs a time for each of {self.machines} machines"
+                    f"type {t} needs a time for each of {machines} machines"
                 )
-            for v in row:
-                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise ValidationError("processing times must be integers >= 0")
-        for n in self.counts:
-            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                raise ValidationError("job counts must be integers >= 0")
-        if self.K < 0 or self.cmax < 0:
-            raise ValidationError("K and cmax must be non-negative")
+        object.__setattr__(self, "ptimes", ptimes)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def ntypes(self) -> int:
@@ -67,17 +56,10 @@ class SchedulingInstance:
 
     @staticmethod
     def from_dict(doc) -> "SchedulingInstance":
-        machines, ptimes, counts, K, cmax = read_object(
-            doc, ("machines", "ptimes", "counts", "K", "cmax"), "instance"
-        )
-        if not isinstance(ptimes, list) or not all(
-            isinstance(r, list) for r in ptimes
-        ):
-            raise ValidationError("ptimes must be a list of per-type lists")
-        if not isinstance(counts, list):
-            raise ValidationError("counts must be a list")
         return SchedulingInstance(
-            machines, tuple(tuple(r) for r in ptimes), tuple(counts), K, cmax
+            *read_object(
+                doc, ("machines", "ptimes", "counts", "K", "cmax"), "instance"
+            )
         )
 
     def to_dict(self) -> dict:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .engine import ResiliencySystem
 from .errors import ArgumentError, BudgetError, ScenarioError, ValidationError
 from .ilp import IntAssignment, LinearRow, Rel, make_vars
-from .jsonio import read_object
+from .jsonio import read_object, require_int, require_ints, require_seq
 
 
 @dataclass(frozen=True)
@@ -42,38 +42,20 @@ class RdscpInstance:
     t: int
 
     def __post_init__(self):
-        ints = {"n": self.n, "s": self.s, "d": self.d, "t": self.t}
-        for label, value in ints.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{label} must be an integer")
-        if self.n < 1:
-            raise ValidationError("universe size must be positive")
-        if self.s < 0:
-            raise ValidationError("removal budget must be non-negative")
-        if self.d < 1 or self.t < 1:
-            raise ValidationError("cover count and size cap must be positive")
-        family = tuple(frozenset(member) for member in self.family)
-        universe = set(range(1, self.n + 1))
-        for member in family:
-            if not member <= universe:
-                raise ValidationError(
-                    f"set {sorted(member)} leaves the universe 1..{self.n}"
-                )
+        n = require_int(self.n, "universe size n", 1)
+        family = tuple(
+            frozenset(require_ints(member, "set members", 1, n))
+            for member in require_seq(self.family, "family")
+        )
+        require_int(self.s, "removal budget s", 0)
+        require_int(self.d, "cover count d", 1)
+        require_int(self.t, "cover size cap t", 1)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "t", min(self.t, self.n))
+        object.__setattr__(self, "t", min(self.t, n))
 
     @classmethod
     def from_dict(cls, doc) -> "RdscpInstance":
-        n, family, s, d, t = read_object(
-            doc, ("n", "family", "s", "d", "t"), "instance"
-        )
-        if not isinstance(family, list) or not all(
-            isinstance(m, list) for m in family
-        ):
-            raise ValidationError("family must be a list of lists")
-        return cls(
-            n=n, family=tuple(frozenset(m) for m in family), s=s, d=d, t=t
-        )
+        return cls(*read_object(doc, ("n", "family", "s", "d", "t"), "instance"))
 
     def to_dict(self) -> dict:
         return {
@@ -314,48 +296,40 @@ class AuthorizationPolicy:
     t: int
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple(self.users))
-        object.__setattr__(self, "resources", tuple(self.resources))
-        object.__setattr__(self, "p", tuple(self.p))
-        object.__setattr__(
-            self, "vr", frozenset((u, r) for u, r in self.vr)
+        users = require_seq(self.users, "users", str)
+        resources = require_seq(self.resources, "resources", str)
+        p = require_seq(self.p, "p", str)
+        vr = frozenset(
+            require_seq(pair, "vr pairs", str) for pair in require_seq(self.vr, "vr")
         )
-        if len(set(self.users)) != len(self.users):
+        if any(len(pair) != 2 for pair in vr):
+            raise ValidationError("vr must be a list of [user, resource] pairs")
+        require_int(self.s, "s", 0)
+        require_int(self.d, "d", 1)
+        require_int(self.t, "t", 1)
+        usr, res = set(users), set(resources)
+        if len(usr) != len(users):
             raise ValidationError("duplicate users")
-        if len(set(self.resources)) != len(self.resources):
+        if len(res) != len(resources):
             raise ValidationError("duplicate resources")
-        if len(set(self.p)) != len(self.p):
+        if len(set(p)) != len(p):
             raise ValidationError("duplicate protected resources")
-        res = set(self.resources)
-        usr = set(self.users)
-        for u, r in self.vr:
+        for u, r in vr:
             if u not in usr or r not in res:
                 raise ValidationError(f"authorization ({u!r}, {r!r}) is dangling")
-        if not set(self.p) <= res:
+        if not set(p) <= res:
             raise ValidationError("protected resources must be resources")
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "resources", resources)
+        object.__setattr__(self, "vr", vr)
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def from_dict(cls, doc) -> "AuthorizationPolicy":
-        users, resources, vr, p, s, d, t = read_object(
-            doc, ("users", "resources", "vr", "p", "s", "d", "t"), "policy"
-        )
-        for label, names in (("users", users), ("resources", resources), ("p", p)):
-            if not isinstance(names, list) or not all(
-                isinstance(name, str) for name in names
-            ):
-                raise ValidationError(f"{label} must be a list of strings")
-        if not isinstance(vr, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in vr
-        ):
-            raise ValidationError("vr must be a list of [user, resource] pairs")
         return cls(
-            users=tuple(users),
-            resources=tuple(resources),
-            vr=frozenset((u, r) for u, r in vr),
-            p=tuple(p),
-            s=s,
-            d=d,
-            t=t,
+            *read_object(
+                doc, ("users", "resources", "vr", "p", "s", "d", "t"), "policy"
+            )
         )
 
     def to_dict(self) -> dict:

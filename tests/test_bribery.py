@@ -150,6 +150,8 @@ def test_election_validation():
         Election(2, {(1, 2): -1}, (1, 0))
     with pytest.raises(ValidationError):
         Election(2, {(1, 2): 1}, (1,))  # scoring length
+    with pytest.raises(ValidationError):
+        Election(2, {(True, 2): 1}, (1, 0))  # True is not candidate 1
 
 
 def test_instance_documents_merge_duplicate_orders():

@@ -144,7 +144,14 @@ def test_encode_then_raw_check_matches_direct_check(problem, doc, tmp_path, caps
 
 @pytest.mark.parametrize(
     "problem,doc",
-    [("sched", SCHED_YES), ("sched", SCHED_NO), ("rdscp", RDSCP), ("rcs", RCS)],
+    [
+        ("sched", SCHED_YES),
+        ("sched", SCHED_NO),
+        ("rdscp", RDSCP),
+        ("rcs", RCS),
+        ("bribery", BRIBERY),
+        ("policy", POLICY),
+    ],
 )
 def test_check_oracle_flag_agrees(problem, doc, tmp_path, capsys):
     code, out, _ = run(

@@ -426,6 +426,10 @@ def test_block_membership_is_validated():
         ResiliencySystem(x, z, (LinearRow({zid: 1}, Rel.LEQ, 1),), (), ())
     with pytest.raises(ValidationError):
         ResiliencySystem(x, z, (), (), (LinearRow({xid: 1}, Rel.LEQ, 1),))
+    with pytest.raises(ValidationError):
+        ResiliencySystem((("x", VarBounds(0, 1)),), (), (), (), ())
+    with pytest.raises(ValidationError):
+        ResiliencySystem(((VarId(0, "x"), (0, 1)),), (), (), (), ())
 
 
 def test_exhaustive_mode_collects_every_failure():

@@ -122,20 +122,63 @@ def test_source_documents_validate():
     check({"n": 2, "triples": [[1, 1, 2], [2, 2, 1]], "k": 2}, "resilp:3dm-source")
 
 
-@pytest.mark.parametrize("cmax,expect_code", [(3, 0), (2, 1)])
-def test_cli_reports_validate(tmp_path, capsys, cmax, expect_code):
-    inst = {"machines": 2, "ptimes": [[1, 2]], "counts": [2], "K": 2, "cmax": cmax}
+SCHED = {"machines": 2, "ptimes": [[1, 2]], "counts": [2], "K": 2, "cmax": 3}
+RDSCP = {"n": 2, "family": [[1], [2], [1, 2]], "s": 1, "d": 1, "t": 2}
+POLICY = {
+    "users": ["u1", "u2"],
+    "resources": ["r1"],
+    "vr": [["u1", "r1"], ["u2", "r1"]],
+    "p": ["r1"],
+    "s": 1,
+    "d": 1,
+    "t": 1,
+}
+RCS = {"alphabet": ["a", "b"], "strings": ["aa", "ab"], "d": 1, "m": 1}
+BRIBERY = {
+    "candidates": 2,
+    "votes": [{"order": [1, 2], "count": 2}, {"order": [2, 1], "count": 1}],
+    "scoring": [1, 0],
+    "ba": 1,
+    "b": 1,
+}
+
+
+# every problem, once resilient (a decoded solution) and once not (a
+# decoded witness)
+REPORTED = [
+    ("sched", SCHED, 0),
+    ("sched", {**SCHED, "cmax": 2}, 1),
+    ("rdscp", RDSCP, 0),
+    ("rdscp", {**RDSCP, "s": 2}, 1),
+    ("policy", POLICY, 0),
+    ("policy", {**POLICY, "s": 2}, 1),
+    ("rcs", RCS, 0),
+    ("rcs", {**RCS, "d": 0}, 1),
+    ("bribery", BRIBERY, 0),
+    ("bribery", {**BRIBERY, "b": 0}, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "problem,inst,expect_code",
+    REPORTED,
+    ids=[f"{problem}-{code}" for problem, _, code in REPORTED],
+)
+def test_cli_reports_validate(tmp_path, capsys, problem, inst, expect_code):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(inst))
 
     code = main(
-        ["check", "--problem", "sched", str(path), "--oracle", "--decode"]
+        ["check", "--problem", problem, str(path), "--oracle", "--decode"]
     )
     out = capsys.readouterr().out
     assert code == expect_code
-    check(json.loads(out), "resilp:report")
+    report = json.loads(out)
+    check(report, "resilp:report")
+    assert report["decoded"]["adversary"] is not None
+    assert (report["decoded"]["solution"] is not None) == (expect_code == 0)
 
-    code = main(["oracle", "--problem", "sched", str(path)])
+    code = main(["oracle", "--problem", problem, str(path)])
     out = capsys.readouterr().out
     assert code == expect_code
     check(json.loads(out), "resilp:oracle-report")
@@ -225,9 +268,24 @@ def _replaced(doc, path, obj):
     return out
 
 
+def _arrays(node, path=()):
+    """Every non-empty array in a document, with its path; as in
+    ``_objects``, a list stands for itself by its first entry."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _arrays(value, path + (key,))
+    elif isinstance(node, list) and node:
+        yield path, node
+        yield from _arrays(node[0], path + (0,))
+
+
+ELEMENT_MUTANTS = (1.5, True, [1], "a", None)
+
+
 def mutants(doc):
     """(label, document) pairs: in every object, each key dropped, an
-    unknown key added, and each array field turned into a string."""
+    unknown key added, and each array field turned into a string; in every
+    array, the first entry swapped for each of ``ELEMENT_MUTANTS``."""
     for path, obj in list(_objects(doc)):
         for key in obj:
             rest = {k: v for k, v in obj.items() if k != key}
@@ -238,6 +296,10 @@ def mutants(doc):
                 for text in ("", "ab"):
                     label = f"{path} with {key!r} = {text!r}"
                     yield label, _replaced(doc, path, {**obj, key: text})
+    for path, array in list(_arrays(doc)):
+        for entry in ELEMENT_MUTANTS:
+            label = f"{path} with entry 0 = {entry!r}"
+            yield label, _replaced(doc, path, [entry, *array[1:]])
 
 
 def schema_rejects(doc, schema_id):

@@ -189,6 +189,11 @@ def test_instance_validation():
         _inst(1, [(1,)], -1, 1, 1)
     with pytest.raises(ValidationError):
         _inst(1, [(1,)], 0, 0, 1)
+    with pytest.raises(ValidationError):
+        _inst(2, [(True,), (1.0, 2)], 0, 1, 1)  # a bool or float is no element
+    # members may be given as sets, as in the README
+    inst = RdscpInstance(n=2, family=({1}, {2}, {1, 2}), s=1, d=1, t=2)
+    assert inst.family == (frozenset({1}), frozenset({2}), frozenset({1, 2}))
 
 
 def test_instance_json_round_trip():
