@@ -92,10 +92,8 @@ class Election:
     def score_of(self, candidate: int, order: Tuple[int, ...]) -> int:
         return self.scoring[order.index(candidate)]
 
-    def tally(self, census: Optional[Dict[Tuple[int, ...], int]] = None) -> Dict[int, int]:
-        """Points per candidate under the given (default: own) census."""
-        if census is None:
-            census = self.census
+    def tally(self, census: Dict[Tuple[int, ...], int]) -> Dict[int, int]:
+        """Points per candidate under the given census."""
         points = {c: 0 for c in range(1, self.m + 1)}
         for order, count in census.items():
             for c in points:
@@ -158,7 +156,10 @@ def _wname(order: Tuple[int, ...]) -> str:
     return f"w[{_key(order)}]"
 
 
-def encode(inst: BriberyInstance, *, max_candidates: int = 4) -> ResiliencySystem:
+_MAX_CANDIDATES = 4
+
+
+def encode(inst: BriberyInstance) -> ResiliencySystem:
     """Flow formulation over preference orders.
 
     Adversarial block: a transfer matrix from the original census plus
@@ -172,9 +173,9 @@ def encode(inst: BriberyInstance, *, max_candidates: int = 4) -> ResiliencySyste
     Type count is m!, hence the candidate budget.
     """
     m = inst.election.m
-    if m > max_candidates:
+    if m > _MAX_CANDIDATES:
         raise BudgetError(
-            f"{m} candidates exceed the order budget (m <= {max_candidates})"
+            f"{m} candidates exceed the order budget (m <= {_MAX_CANDIDATES})"
         )
     types = voter_types(m)
     V = inst.election.voters

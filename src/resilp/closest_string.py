@@ -160,15 +160,10 @@ def column_types(matrix: StringMatrix) -> Tuple[ColumnType, ...]:
             raise NormalizationError(j, f"column reads {''.join(column)}")
         counts[column] = counts.get(column, 0) + 1
     order = {s: i for i, s in enumerate(matrix.alphabet.symbols)}
-    types = tuple(
+    return tuple(
         ColumnType(cells, counts[cells])
         for cells in sorted(counts, key=lambda c: tuple(order[x] for x in c))
     )
-    # a normalized column can only use the first min(k, |alphabet|)
-    # symbols, so k**k caps the type count; the partition count does not,
-    # because tied frequencies admit several normalized labelings
-    assert len(types) <= matrix.k ** matrix.k, "impossible type count"
-    return types
 
 
 def all_types(k: int, alphabet: Alphabet) -> Tuple[Tuple[str, ...], ...]:
@@ -255,12 +250,10 @@ def _xname(cells: Sequence[str], symbol: str) -> str:
     return f"x[{_tkey(cells)},{symbol}]"
 
 
-def encode(
-    inst: RcsInstance,
-    *,
-    max_k: int = 4,
-    per_row_distance: bool = True,
-) -> ResiliencySystem:
+_MAX_K = 4
+
+
+def encode(inst: RcsInstance, *, per_row_distance: bool = True) -> ResiliencySystem:
     """Partitioned system over column types.
 
     Adversarial block: transfer counts between every pair of normalized
@@ -271,11 +264,11 @@ def encode(
     cap mismatches — one row per input string by default, or a single
     aggregate row when ``per_row_distance`` is false.
 
-    Type enumeration is exponential in k, hence the ``max_k`` budget.
+    Type enumeration is exponential in k, hence the ``_MAX_K`` budget.
     """
     k, L = inst.matrix.k, inst.matrix.length
-    if k > max_k:
-        raise BudgetError(f"{k} rows exceed the type budget (k <= {max_k})")
+    if k > _MAX_K:
+        raise BudgetError(f"{k} rows exceed the type budget (k <= {_MAX_K})")
     alphabet = inst.matrix.alphabet
     types = all_types(k, alphabet)
     census = {t: 0 for t in types}

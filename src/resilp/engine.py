@@ -69,6 +69,7 @@ class ResiliencySystem:
         object.__setattr__(self, "rows_x", xsys.rows)
         object.__setattr__(self, "rows_xz", tuple(self.rows_xz))
         object.__setattr__(self, "rows_z", zsys.rows)
+        object.__setattr__(self, "_zsys", zsys)
         xnames = {vid.name for vid, _ in self.x_vars}
         for vid, _ in self.z_vars:
             if vid.name in xnames:
@@ -92,7 +93,7 @@ class ResiliencySystem:
 
     def z_system(self) -> LinearSystem:
         """The z block with the z-only rows, built once per system."""
-        return self._kernel.zsys
+        return self._zsys
 
     @cached_property
     def _kernel(self) -> "_Kernel":
@@ -110,7 +111,7 @@ class _Kernel:
     """
 
     def __init__(self, system: ResiliencySystem):
-        self.zsys = LinearSystem(system.z_vars, system.rows_z)
+        self.zsys = system.z_system()
         self.zids = [vid for vid, _ in system.z_vars]
         self.zkeys = set(self.zids)
         self.zbox = [(b.lower, b.upper) for _, b in system.z_vars]

@@ -64,8 +64,6 @@ def read_object(doc, keys: Sequence[str], what: str) -> tuple:
 # and a document reader get the same ones.  A bool is never an integer:
 # ``type(v) is int`` rules it out, where ``isinstance`` would not.
 
-_SEQUENCES = (list, tuple, set, frozenset)
-
 
 def _limits(low, high) -> str:
     if low is not None and high is not None:
@@ -91,10 +89,13 @@ def require_int(value, what: str, low=None, high=None) -> int:
 
 
 def require_seq(value, what: str, item: Optional[type] = None) -> tuple:
-    """``value`` as a tuple, when it is a list, tuple, set or frozenset
-    whose entries are all ``item`` instances (any entry when ``item`` is
-    ``None``)."""
-    if not isinstance(value, _SEQUENCES):
+    """``value`` as a tuple, when it is a list or tuple whose entries are
+    all ``item`` instances (any entry when ``item`` is ``None``).
+
+    A set is refused: its iteration order depends on the hash seed, and
+    the order of these fields numbers copies, rows and variables.
+    """
+    if not isinstance(value, (list, tuple)):
         raise ValidationError(f"{what} must be a list")
     value = tuple(value)
     if item is not None and not all(isinstance(v, item) for v in value):

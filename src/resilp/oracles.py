@@ -136,18 +136,15 @@ def rdscp_packing_exists(
     return _packing_exists(universe, groups, remaining, inst.d, inst.t)
 
 
-def rdscp_oracle(
-    inst: RdscpInstance,
-    *,
-    max_family: int = 12,
-    max_s: int = 4,
-    max_d: int = 4,
-    max_t: int = 4,
-) -> bool:
+_RDSCP_MAX_FAMILY = 12
+_RDSCP_MAX_SDT = 4
+
+
+def rdscp_oracle(inst: RdscpInstance) -> bool:
     """Try every removal of at most s copies; all must leave a packing."""
-    if len(inst.family) > max_family:
-        raise BudgetError(f"family larger than {max_family} sets")
-    if inst.s > max_s or inst.d > max_d or inst.t > max_t:
+    if len(inst.family) > _RDSCP_MAX_FAMILY:
+        raise BudgetError(f"family larger than {_RDSCP_MAX_FAMILY} sets")
+    if max(inst.s, inst.d, inst.t) > _RDSCP_MAX_SDT:
         raise BudgetError("s, d or t beyond the enumeration budget")
     groups = _rdscp_groups(inst)
     universe = frozenset(range(1, inst.n + 1))
@@ -238,12 +235,11 @@ def closest_string_oracle(
     return False
 
 
+_RCS_MAX_ALPHABET = 2
+
+
 def rcs_oracle(
-    inst: RcsInstance,
-    *,
-    per_row_distance: bool = True,
-    max_cells: int = 9,
-    max_alphabet: int = 2,
+    inst: RcsInstance, *, per_row_distance: bool = True, max_cells: int = 9
 ) -> bool:
     """Enumerate every corrupted matrix, then every candidate center.
 
@@ -255,8 +251,8 @@ def rcs_oracle(
     k, L = matrix.k, matrix.length
     if k * L > max_cells:
         raise BudgetError(f"more than {max_cells} cells")
-    if len(symbols) > max_alphabet:
-        raise BudgetError(f"alphabet larger than {max_alphabet}")
+    if len(symbols) > _RCS_MAX_ALPHABET:
+        raise BudgetError(f"alphabet larger than {_RCS_MAX_ALPHABET}")
 
     normal = [
         cells
@@ -417,15 +413,17 @@ def bribery_response_exists(
     )
 
 
-def bribery_oracle(
-    inst: BriberyInstance, *, max_candidates: int = 3, max_budget: int = 4
-) -> bool:
+_BRIBERY_MAX_CANDIDATES = 3
+_BRIBERY_MAX_BUDGET = 4
+
+
+def bribery_oracle(inst: BriberyInstance) -> bool:
     """Every adversarial move set must leave a winning response."""
     m = inst.election.m
-    if m > max_candidates:
-        raise BudgetError(f"more than {max_candidates} candidates")
-    if inst.ba > max_budget or inst.b > max_budget:
-        raise BudgetError(f"budget beyond {max_budget}")
+    if m > _BRIBERY_MAX_CANDIDATES:
+        raise BudgetError(f"more than {_BRIBERY_MAX_CANDIDATES} candidates")
+    if inst.ba > _BRIBERY_MAX_BUDGET or inst.b > _BRIBERY_MAX_BUDGET:
+        raise BudgetError(f"budget beyond {_BRIBERY_MAX_BUDGET}")
     start = {p: inst.election.count(p) for p in permutations(range(1, m + 1))}
     return all(
         bribery_response_exists(inst, dict(c))

@@ -26,6 +26,12 @@ from .ilp import IntAssignment, LinearRow, Rel, make_vars
 from .jsonio import read_object, require_int, require_ints, require_seq
 
 
+def _unordered(value):
+    """A set as a tuple, for the fields whose order carries no meaning
+    (family members, ``vr``); anything else as it is."""
+    return tuple(value) if isinstance(value, (set, frozenset)) else value
+
+
 @dataclass(frozen=True)
 class RdscpInstance:
     """Universe size, set family (a multiset), and the three budgets.
@@ -44,7 +50,7 @@ class RdscpInstance:
     def __post_init__(self):
         n = require_int(self.n, "universe size n", 1)
         family = tuple(
-            frozenset(require_ints(member, "set members", 1, n))
+            frozenset(require_ints(_unordered(member), "set members", 1, n))
             for member in require_seq(self.family, "family")
         )
         require_int(self.s, "removal budget s", 0)
@@ -122,21 +128,21 @@ def _xname(pattern: Tuple[frozenset, ...]) -> str:
     return "x[" + "|".join(",".join(map(str, sorted(c))) for c in pattern) + "]"
 
 
+_MAX_N = 6
+
+
 def encode(
-    inst: RdscpInstance,
-    *,
-    max_n: int = 6,
-    max_patterns: Optional[int] = None,
+    inst: RdscpInstance, *, max_patterns: Optional[int] = None
 ) -> ResiliencySystem:
     """Partitioned system whose resiliency equals the instance's answer.
 
     Pattern enumeration is exponential in the universe, so universes above
-    ``max_n`` raise :class:`BudgetError` up front.  Variable and row counts
-    depend on the distinct contents only.
+    ``_MAX_N`` elements raise :class:`BudgetError` up front.  Variable and
+    row counts depend on the distinct contents only.
     """
-    if inst.n > max_n:
+    if inst.n > _MAX_N:
         raise BudgetError(
-            f"universe size {inst.n} exceeds the pattern budget (n <= {max_n})"
+            f"universe size {inst.n} exceeds the pattern budget (n <= {_MAX_N})"
         )
     groups = groups_of(inst)
     patterns = cover_patterns(inst, groups, max_patterns=max_patterns)
@@ -300,7 +306,8 @@ class AuthorizationPolicy:
         resources = require_seq(self.resources, "resources", str)
         p = require_seq(self.p, "p", str)
         vr = frozenset(
-            require_seq(pair, "vr pairs", str) for pair in require_seq(self.vr, "vr")
+            require_seq(pair, "vr pairs", str)
+            for pair in require_seq(_unordered(self.vr), "vr")
         )
         if any(len(pair) != 2 for pair in vr):
             raise ValidationError("vr must be a list of [user, resource] pairs")
@@ -363,17 +370,13 @@ def from_policy(policy: AuthorizationPolicy) -> RdscpInstance:
 
 
 def gen_from_hitting_set(
-    n: int,
-    sets: Sequence[Sequence[int]],
-    k: int,
-    *,
-    delta: Optional[int] = None,
+    n: int, sets: Sequence[Sequence[int]], k: int
 ) -> RdscpInstance:
     """Build an instance whose answer is the OPPOSITE of "some <=k vertices
     hit every set".
 
     ``sets`` must be delta-uniform subsets of ``1..n`` with delta >= 2
-    (delta is inferred, or taken from the keyword when ``sets`` is empty).
+    (delta is their common size, or 2 when ``sets`` is empty).
     The universe splits into: one element per (delta-1)-subset Q of the
     vertex indices (covered exactly by the vertex sets outside Q), a
     delta-element pad per input set (shared between its vertices' sets and
@@ -399,13 +402,7 @@ def gen_from_hitting_set(
     sizes = {len(s) for s in cleaned}
     if len(sizes) > 1:
         raise ArgumentError("sets must all have the same size")
-    if cleaned:
-        inferred = sizes.pop()
-        if delta is not None and delta != inferred:
-            raise ArgumentError(f"sets have size {inferred}, not {delta}")
-        delta = inferred
-    elif delta is None:
-        delta = 2
+    delta = sizes.pop() if sizes else 2
     if delta < 2:
         raise ArgumentError("set size must be at least 2")
 

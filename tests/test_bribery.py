@@ -152,6 +152,13 @@ def test_election_validation():
         Election(2, {(1, 2): 1}, (1,))  # scoring length
     with pytest.raises(ValidationError):
         Election(2, {(True, 2): 1}, (1, 0))  # True is not candidate 1
+    # orders, the scoring vector and the vote list are ordered, never sets
+    with pytest.raises(ValidationError, match="vote order must be a list"):
+        Election(2, {frozenset((1, 2)): 1}, (1, 0))
+    with pytest.raises(ValidationError, match="scoring entries must be a list"):
+        Election(2, {(1, 2): 1}, {1, 0})
+    with pytest.raises(ValidationError, match="votes must be a list"):
+        Election(2, {((1, 2), 1)}, (1, 0))
 
 
 def test_instance_documents_merge_duplicate_orders():

@@ -220,12 +220,36 @@ def test_unanswerable_sample_scenario_exits_2_under_optimize(tmp_path):
 
 
 def test_check_scenario_budget_exits_2(tmp_path, capsys):
-    code, _, err = run(
-        capsys,
-        "check", "--problem", "sched", write(tmp_path, SCHED_YES),
-        "--max-scenarios", "1",
-    )
-    assert code == 2 and "budget" in err
+    sched, rdscp = write(tmp_path, SCHED_YES), write(tmp_path, RDSCP, "r.json")
+    cases = [
+        (["check", "--problem", "sched", sched, "--max-scenarios", "1"], "budget"),
+        (
+            ["check", "--problem", "sched", sched, "--exhaustive", "--max-points", "1"],
+            "box product exceeds 1 points",
+        ),
+        (["oracle", "--problem", "sched", sched, "--max-points", "1"], "exceeds 1"),
+        (
+            ["check", "--problem", "rdscp", rdscp, "--max-patterns", "0"],
+            "more than 0 cover patterns; raise the cap",
+        ),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err, argv
+
+
+@pytest.mark.filterwarnings("ignore:columns renamed during normalization")
+def test_aggregate_distance_reaches_encoder_and_oracle(tmp_path, capsys):
+    # after any one changed cell some center is within 1 of every string,
+    # but not always one whose mismatches over all strings total 1
+    doc = {"alphabet": ["a", "b"], "strings": ["ab", "ab", "aa"], "d": 1, "m": 1}
+    path = write(tmp_path, doc)
+    check = ["check", "--problem", "rcs", path]
+    assert run(capsys, *check)[0] == 0
+    assert run(capsys, *check, "--aggregate-distance")[0] == 1
+    code, out, err = run(capsys, *check, "--aggregate-distance", "--oracle")
+    assert code == 1, err
+    assert json.loads(out)["oracle"] is False
 
 
 def test_check_raw_wide_system_exits_0(tmp_path, capsys):

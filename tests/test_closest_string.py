@@ -353,6 +353,9 @@ def test_instance_ingest_round_trip_when_already_normalized():
         {"alphabet": ["a", "b"], "strings": ["a", "ab"], "d": 0, "m": 0},
         {"alphabet": ["a", "a"], "strings": ["a"], "d": 0, "m": 0},
         {"alphabet": ["a"], "strings": ["a"], "d": 0, "m": 0, "seed": 9},
+        # ordered fields, so a set is refused
+        {"alphabet": {"a", "b"}, "strings": ["a"], "d": 0, "m": 0},
+        {"alphabet": ["a", "b"], "strings": {"ab", "aa"}, "d": 0, "m": 0},
     ],
 )
 def test_bad_instance_documents_rejected(doc):

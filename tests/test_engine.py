@@ -287,6 +287,26 @@ def test_each_row_compiles_once_per_system(monkeypatch):
     assert calls == {"_int_row": rows, "evaluate": 0}
 
 
+def test_each_block_is_built_once(monkeypatch):
+    from resilp import ilp
+
+    built = []
+    post_init = ilp.LinearSystem.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ilp.LinearSystem, "__post_init__", counted)
+    inst = SchedulingInstance(3, ((1, 2, 3), (2, 1, 2), (3, 3, 1)), (4, 4, 4), 6, 12)
+    system = encode(inst)
+    assert len(built) == 2  # the x block and the z block
+    zsys = system.z_system()
+    assert len(built) == 2
+    assert system._kernel.zsys is zsys
+    assert len(built) == 2
+
+
 def test_substitute_names_the_first_violation():
     sys_ = _rsys(
         [("x", 0, 1)],

@@ -163,6 +163,13 @@ def test_instance_validation_and_round_trip():
         SchedulingInstance(1, ((1,),), (1, 2), 0, 1)  # counts mismatch
     with pytest.raises(ValidationError):
         SchedulingInstance(1, ((-1,),), (1,), 0, 1)
+    # ptimes, its rows and counts are ordered, never sets
+    with pytest.raises(ValidationError, match="ptimes must be a list"):
+        SchedulingInstance(2, {(1, 2), (0, 3)}, (1, 2), 1, 5)
+    with pytest.raises(ValidationError, match="processing times must be a list"):
+        SchedulingInstance(2, ((1, 2), {0, 3}), (1, 2), 1, 5)
+    with pytest.raises(ValidationError, match="job counts must be a list"):
+        SchedulingInstance(2, ((1, 2), (0, 3)), {1, 2}, 1, 5)
     with pytest.raises(ValidationError):
         SchedulingInstance.from_dict({"machines": 1})
 

@@ -194,6 +194,9 @@ def test_instance_validation():
     # members may be given as sets, as in the README
     inst = RdscpInstance(n=2, family=({1}, {2}, {1, 2}), s=1, d=1, t=2)
     assert inst.family == (frozenset({1}), frozenset({2}), frozenset({1, 2}))
+    # the family itself is ordered: its order numbers the copies
+    with pytest.raises(ValidationError, match="family must be a list"):
+        RdscpInstance(n=2, family={frozenset({1}), frozenset({2})}, s=0, d=1, t=1)
 
 
 def test_instance_json_round_trip():
@@ -324,6 +327,15 @@ def test_policy_json_round_trip_and_validation():
             users=("a",), resources=("r",), vr=frozenset(), p=("other",),
             s=0, d=1, t=1,
         )
+    # users, resources and p are ordered (a set's order follows the hash
+    # seed, and the user order numbers the family's copies); vr is not
+    fields = dict(users=["a", "b"], resources=["r"], vr={("a", "r")}, p=["r"])
+    assert AuthorizationPolicy(**fields, s=0, d=1, t=1) == policy
+    for name in ("users", "resources", "p"):
+        with pytest.raises(ValidationError, match=f"{name} must be a list"):
+            AuthorizationPolicy(
+                **{**fields, name: set(fields[name])}, s=0, d=1, t=1
+            )
 
 
 # --- generators ---------------------------------------------------------------
