@@ -74,7 +74,10 @@ class Election:
         )
         full = list(range(1, m + 1))
         clean = {}
-        for order, count in votes:
+        for entry in votes:
+            if len(require_seq(entry, "vote entries")) != 2:
+                raise ValidationError("a vote entry is an (order, count) pair")
+            order, count = entry
             order = require_ints(order, "vote order")
             if sorted(order) != full:
                 raise ValidationError(f"not a permutation of 1..{m}: {order}")

@@ -25,7 +25,7 @@ from .engine import (
     enumerate_scenarios,
     substitute,
 )
-from .errors import ArgumentError, ResilpError, ValidationError
+from .errors import ArgumentError, ResilpError
 from .ilp import IntAssignment, solve_feasibility
 from .jsonio import (
     assignment_to_dict,
@@ -320,26 +320,29 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from . import oracles, setcover
+    from . import setcover
 
     # the generators validate n, k and every member of the family
     hitting = args.reduction == "hitting-set"
-    field = "sets" if hitting else "triples"
     n, family, k = read_object(
-        _read_doc(args.source), ("n", field, "k"), f"{args.reduction} source"
+        _read_doc(args.source),
+        ("n", "sets" if hitting else "triples", "k"),
+        f"{args.reduction} source",
     )
-    if not isinstance(family, list):
-        raise ValidationError(f"{field} must be a list")
-    if hitting:
-        inst = setcover.gen_from_hitting_set(n, family, k)
-        expected = not oracles.hitting_set_oracle(n, family, k)
-    else:
-        inst = setcover.gen_from_3dm(n, family, k)
-        expected = oracles.matching_3dm_oracle(n, family, k)
+    generate = setcover.gen_from_hitting_set if hitting else setcover.gen_from_3dm
+    inst = generate(n, family, k)
 
     code = 0
     if args.verify:
+        from . import oracles
+
+        # the instance's budgeted oracle first: it refuses a source too
+        # large for the unbudgeted source search
         got = oracles.rdscp_oracle(inst)
+        if hitting:
+            expected = not oracles.hitting_set_oracle(n, family, k)
+        else:
+            expected = oracles.matching_3dm_oracle(n, family, k)
         if got != expected:
             print(
                 f"verification failed: source implies {expected}, "
@@ -405,7 +408,11 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("instance", help="instance JSON file, or - for stdin")
     enc.add_argument("--kappa", action="store_true",
                      help="print kappa and payload size to stderr")
-    enc.add_argument("--max-patterns", type=int, default=None)
+    patterns_help = (
+        "rdscp/policy: refuse more cover patterns than this; the pattern "
+        "search itself refuses more than 10**6 group combinations"
+    )
+    enc.add_argument("--max-patterns", type=int, default=None, help=patterns_help)
     enc.add_argument("--aggregate-distance", action="store_true",
                      help="rcs only: one total-distance row instead of per-row rows")
     enc.set_defaults(func=cmd_encode)
@@ -424,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="attach a human-readable witness or sample solution")
     chk.add_argument("--max-scenarios", type=int, default=1_000_000)
     chk.add_argument("--max-points", type=int, default=10_000_000)
-    chk.add_argument("--max-patterns", type=int, default=None)
+    chk.add_argument("--max-patterns", type=int, default=None, help=patterns_help)
     chk.add_argument("--aggregate-distance", action="store_true")
     chk.set_defaults(func=cmd_check)
 

@@ -75,15 +75,22 @@ def _limits(low, high) -> str:
     return ""
 
 
+def _ints_within(values: tuple, low, high) -> bool:
+    for v in values:
+        if (
+            type(v) is not int
+            or (low is not None and v < low)
+            or (high is not None and v > high)
+        ):
+            return False
+    return True
+
+
 def require_int(value, what: str, low=None, high=None) -> int:
     """``value``, when it is an integer in ``[low, high]`` (``None``: no
     limit on that side); otherwise a :class:`ValidationError` naming
     ``what``."""
-    if (
-        type(value) is not int
-        or (low is not None and value < low)
-        or (high is not None and value > high)
-    ):
+    if not _ints_within((value,), low, high):
         raise ValidationError(f"{what} must be an integer{_limits(low, high)}")
     return value
 
@@ -107,20 +114,14 @@ def require_ints(values, what: str, low=None, high=None) -> tuple:
     """``values`` as a tuple, when it is a sequence (as for
     :func:`require_seq`) of integers in ``[low, high]``."""
     values = require_seq(values, what)
-    for v in values:
-        if (
-            type(v) is not int
-            or (low is not None and v < low)
-            or (high is not None and v > high)
-        ):
-            raise ValidationError(f"{what} must be integers{_limits(low, high)}")
+    if not _ints_within(values, low, high):
+        raise ValidationError(f"{what} must be integers{_limits(low, high)}")
     return values
 
 
 def _variables_from_list(items) -> list:
-    _require(isinstance(items, list), "variables must be a list")
     out = []
-    for entry in items:
+    for entry in require_seq(items, "variables"):
         name, lo, hi = read_object(entry, ("name", "lower", "upper"), "variable")
         _require(isinstance(name, str) and name, "variable name must be a string")
         out.append((name, VarBounds(lo, hi)))
@@ -152,9 +153,7 @@ def system_from_dict(doc: Mapping) -> LinearSystem:
         (VarId(i, name), bounds) for i, (name, bounds) in enumerate(named)
     )
     byname = {vid.name: vid for vid, _ in variables}
-    _require(len(byname) == len(variables), "duplicate variable names")
-    _require(isinstance(rows_doc, list), "rows must be a list")
-    rows = tuple(_row_from_dict(r, byname) for r in rows_doc)
+    rows = tuple(_row_from_dict(r, byname) for r in require_seq(rows_doc, "rows"))
     return LinearSystem(variables, rows)
 
 
@@ -187,9 +186,7 @@ def resiliency_from_dict(doc: Mapping) -> ResiliencySystem:
     znames = set(znames_doc)
     _require(len(znames) == len(znames_doc), "duplicate names in zvars")
     named = _variables_from_list(variables_doc)
-    all_names = [name for name, _ in named]
-    _require(len(set(all_names)) == len(all_names), "duplicate variable names")
-    missing = znames - set(all_names)
+    missing = znames - {name for name, _ in named}
     _require(not missing, f"zvars not among variables: {sorted(missing)}")
     x_named = [(n, b) for n, b in named if n not in znames]
     z_named = [(n, b) for n, b in named if n in znames]
@@ -197,9 +194,8 @@ def resiliency_from_dict(doc: Mapping) -> ResiliencySystem:
     z_vars = tuple((VarId(i, n), b) for i, (n, b) in enumerate(z_named))
     byname = {vid.name: vid for vid, _ in x_vars}
     byname.update({vid.name: vid for vid, _ in z_vars})
-    _require(isinstance(rows_doc, list), "rows must be a list")
     rows_x, rows_xz, rows_z = [], [], []
-    for entry in rows_doc:
+    for entry in require_seq(rows_doc, "rows"):
         row = _row_from_dict(entry, byname)
         mentioned = {vid.name for vid in row.support()}
         if mentioned and mentioned <= znames:

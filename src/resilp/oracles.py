@@ -300,28 +300,25 @@ def rcs_oracle(
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """Every way to write ``total`` as ``parts`` non-negative summands, in
+    lexicographic order: the gaps between ``parts - 1`` bars placed among
+    ``total + parts - 1`` slots."""
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        yield tuple(edges[i + 1] - edges[i] - 1 for i in range(parts))
 
 
 def sched_oracle(inst: SchedulingInstance, *, max_points: int = 10_000_000) -> bool:
     """All delay vectors against all full job assignments."""
     machines = inst.machines
-    delay_vectors = [
-        v
-        for v in product(range(inst.K + 1), repeat=machines)
-        if sum(v) <= inst.K
-    ]
-    span = len(delay_vectors)
+    # delay vectors with sum <= K: compositions of K with one slack part
+    span = comb(inst.K + machines, machines)
     for n in inst.counts:
         span *= comb(n + machines - 1, machines - 1)
-        if span > max_points:
-            raise BudgetError(f"assignment count exceeds {max_points}")
+    if span > max_points:
+        raise BudgetError(f"assignment count exceeds {max_points}")
 
+    delay_vectors = [v[:-1] for v in _compositions(inst.K, machines + 1)]
     splits = [list(_compositions(n, machines)) for n in inst.counts]
 
     def feasible(delays: Tuple[int, ...]) -> bool:

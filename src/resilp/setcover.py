@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import ResiliencySystem
-from .errors import ArgumentError, BudgetError, ScenarioError, ValidationError
+from .errors import BudgetError, ScenarioError, ValidationError
 from .ilp import IntAssignment, LinearRow, Rel, make_vars
 from .jsonio import read_object, require_int, require_ints, require_seq
 
@@ -98,6 +99,9 @@ def groups_of(inst: RdscpInstance) -> Tuple[FamilyGroup, ...]:
     )
 
 
+_MAX_COMBINATIONS = 10**6
+
+
 def cover_patterns(
     inst: RdscpInstance,
     groups: Sequence[FamilyGroup],
@@ -105,9 +109,20 @@ def cover_patterns(
     max_patterns: Optional[int] = None,
 ) -> Tuple[Tuple[frozenset, ...], ...]:
     """Every set of at most ``t`` distinct group contents covering the
-    universe, in (size, group order) order."""
+    universe, in (size, group order) order.
+
+    The search tries every combination of at most ``t`` groups, so more
+    than ``_MAX_COMBINATIONS`` of them raise :class:`BudgetError` before
+    it starts; ``max_patterns`` caps the patterns found.
+    """
     universe = frozenset(range(1, inst.n + 1))
     contents = [g.content for g in groups]
+    tries = sum(comb(len(contents), size) for size in range(1, inst.t + 1))
+    if tries > _MAX_COMBINATIONS:
+        raise BudgetError(
+            f"{tries} group combinations exceed the pattern search budget "
+            f"({_MAX_COMBINATIONS})"
+        )
     patterns = []
     for size in range(1, inst.t + 1):
         for combo in combinations(contents, size):
@@ -384,27 +399,20 @@ def gen_from_hitting_set(
     pad-collectors.  Removing a vertex-set is then exactly as damaging as
     picking that vertex into a hitting set.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ArgumentError("vertex count must be a non-negative integer")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ArgumentError("k must be a non-negative integer")
+    require_int(n, "vertex count", 0)
+    require_int(k, "k", 0)
     cleaned = []
-    for s in sets:
-        if not isinstance(s, (list, tuple)) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
-            for v in s
-        ):
-            raise ArgumentError(f"set {s!r} is not a list of vertices 1..{n}")
-        members = sorted(set(s))
+    for s in require_seq(sets, "sets"):
+        members = sorted(set(require_ints(s, "set members", 1, n)))
         if len(members) != len(s):
-            raise ArgumentError(f"set {list(s)} repeats a vertex")
+            raise ValidationError(f"set {list(s)} repeats a vertex")
         cleaned.append(tuple(members))
     sizes = {len(s) for s in cleaned}
     if len(sizes) > 1:
-        raise ArgumentError("sets must all have the same size")
+        raise ValidationError("sets must all have the same size")
     delta = sizes.pop() if sizes else 2
     if delta < 2:
-        raise ArgumentError("set size must be at least 2")
+        raise ValidationError("set size must be at least 2")
 
     m = len(cleaned)
     qs = list(combinations(range(1, n + 1), delta - 1))
@@ -449,20 +457,16 @@ def gen_from_3dm(
     that hyperedge's complement-style collector.  Covers are disjoint
     exactly when the chosen hyperedges are.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ArgumentError("part size must be a non-negative integer")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ArgumentError("k must be a positive integer")
-    cleaned = []
-    for tr in triples:
-        if not isinstance(tr, (list, tuple)) or len(tr) != 3 or not all(
-            isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n
-            for v in tr
-        ):
-            raise ArgumentError(f"malformed triple: {tr!r}")
-        cleaned.append(tuple(tr))
+    require_int(n, "part size", 0)
+    require_int(k, "k", 1)
+    cleaned = [
+        require_ints(tr, "triple coordinates", 1, n)
+        for tr in require_seq(triples, "triples")
+    ]
+    if any(len(tr) != 3 for tr in cleaned):
+        raise ValidationError("every triple needs three coordinates")
     if len(set(cleaned)) != len(cleaned):
-        raise ArgumentError("duplicate triples")
+        raise ValidationError("duplicate triples")
 
     m = len(cleaned)
     # universe: per-edge tags for each coordinate, three part anchors, a hub

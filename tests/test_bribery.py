@@ -159,6 +159,10 @@ def test_election_validation():
         Election(2, {(1, 2): 1}, {1, 0})
     with pytest.raises(ValidationError, match="votes must be a list"):
         Election(2, {((1, 2), 1)}, (1, 0))
+    # each vote entry is an (order, count) pair, checked before unpacking
+    for votes in ([((1, 2),)], [((1, 2), 1, 5)], [7]):
+        with pytest.raises(ValidationError, match="vote entr"):
+            Election(2, votes, (1, 0))
 
 
 def test_instance_documents_merge_duplicate_orders():

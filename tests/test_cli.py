@@ -330,6 +330,57 @@ def test_gen_malformed_source_exits_2(tmp_path, capsys):
     assert run(capsys, "gen", "--reduction", "3dm", src)[0] == 2
 
 
+def test_gen_runs_the_source_oracles_only_under_verify(tmp_path, capsys, monkeypatch):
+    import resilp.oracles as oracles
+
+    def unasked(*args):
+        raise AssertionError("source oracle ran without --verify")
+
+    monkeypatch.setattr(oracles, "hitting_set_oracle", unasked)
+    monkeypatch.setattr(oracles, "matching_3dm_oracle", unasked)
+    src = write(tmp_path, {"n": 2, "sets": [[1, 2]], "k": 1})
+    code, out, _ = run(capsys, "gen", "--reduction", "hitting-set", src)
+    assert code == 0 and json.loads(out)["s"] == 1
+    src = write(tmp_path, {"n": 1, "triples": [[1, 1, 1]], "k": 1}, "t.json")
+    code, out, _ = run(capsys, "gen", "--reduction", "3dm", src)
+    assert code == 0 and json.loads(out)["d"] == 1
+
+
+def test_gen_verify_refuses_a_large_source_before_searching_it(tmp_path, capsys):
+    # 21 disjoint edges over 42 vertices: the instance has 63 sets, and an
+    # unbudgeted search for a hitting set of 20 would not end
+    edges = [[2 * i + 1, 2 * i + 2] for i in range(21)]
+    src = write(tmp_path, {"n": 42, "sets": edges, "k": 20})
+    code, out, err = run(capsys, "gen", "--reduction", "hitting-set", src, "--verify")
+    assert (code, out) == (2, "")
+    assert "family larger than 12 sets" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "machines, K", [(40, 1), (1200, 0)], ids=["2**40-box", "1200-machines"]
+)
+def test_sched_oracle_agrees_with_check_on_wide_instances(tmp_path, capsys, machines, K):
+    doc = {"machines": machines, "ptimes": [[1] * machines], "counts": [1],
+           "K": K, "cmax": 1}
+    path = write(tmp_path, doc)
+    code, out, _ = run(capsys, "oracle", "--problem", "sched", path)
+    check_code, check_out, _ = run(capsys, "check", "--problem", "sched", path)
+    assert code == check_code == 0
+    assert json.loads(out)["answer"] is json.loads(check_out)["verdict"]["resilient"]
+
+
+def test_pattern_search_is_budgeted(tmp_path, capsys):
+    # all 63 non-empty subsets of a 6-element universe, covers of up to 6
+    # sets: about 7.6e7 combinations to try
+    family = [
+        [e for e in range(1, 7) if mask >> (e - 1) & 1] for mask in range(1, 64)
+    ]
+    path = write(tmp_path, {"n": 6, "family": family, "s": 0, "d": 1, "t": 6})
+    code, out, err = run(capsys, "encode", "--problem", "rdscp", path)
+    assert (code, out) == (2, "")
+    assert "exceed the pattern search budget" in err
+
+
 def test_gen_random_deterministic(capsys):
     first = run(capsys, "gen-random", "--family", "rcs", "--seed", "5")
     second = run(capsys, "gen-random", "--family", "rcs", "--seed", "5")

@@ -1,10 +1,13 @@
 """Serialization round trips and document validation."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import resilp
 from resilp.bribery import BriberyInstance, Election
 from resilp.bribery import encode as encode_bribery
 from resilp.closest_string import Alphabet, RcsInstance, StringMatrix
@@ -149,6 +152,30 @@ def test_zvars_validation():
                 "rows": [],
             }
         )
+
+
+@pytest.mark.parametrize("zvars", [[], ["x"]])
+def test_duplicate_names_are_rejected_by_the_system_type(zvars):
+    twice = [{"name": "x", "lower": 0, "upper": 1}] * 2
+    doc = {"variables": twice, "rows": []}
+    with pytest.raises(ValidationError, match="duplicate variable name: 'x'"):
+        system_from_dict(doc)
+    with pytest.raises(ValidationError, match="duplicate variable name: 'x'"):
+        resiliency_from_dict({**doc, "zvars": zvars})
+
+
+def test_integer_checks_go_through_jsonio():
+    # ilp.py sits below jsonio and keeps its own checks; everywhere else
+    # an integer field goes through require_int or require_ints
+    src = Path(resilp.__file__).parent
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "ilp.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"isinstance\(.*\bbool\b", line)
+    ]
+    assert not found
 
 
 @pytest.mark.parametrize(

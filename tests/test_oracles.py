@@ -2,6 +2,7 @@
 guards, and a cross-check against the engine on raw systems."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from resilp.engine import ResiliencySystem, check_resiliency
 from resilp.errors import BudgetError, UnboundedVarError, ValidationError
 from resilp.ilp import LinearRow, Rel, VarBounds, VarId
 from resilp.oracles import (
+    _compositions,
     bribery_oracle,
     closest_string_oracle,
     forall_exists_oracle,
@@ -134,6 +136,25 @@ def test_corruption_oracle_cases_and_budgets():
     abc = Alphabet(("a", "b", "c"))
     with pytest.raises(BudgetError):
         rcs_oracle(RcsInstance(StringMatrix(abc, ("aa",)), 0, 0))
+
+
+def test_compositions_are_the_lexicographic_filtered_product():
+    for total in range(4):
+        for parts in range(1, 4):
+            wanted = [
+                v
+                for v in product(range(total + 1), repeat=parts)
+                if sum(v) == total
+            ]
+            assert list(_compositions(total, parts)) == wanted
+
+
+def test_delay_oracle_checks_its_budget_before_enumerating():
+    # 2**40 delay vectors in the box, of which 41 have sum <= K = 1
+    wide = SchedulingInstance(40, ((1,) * 40,), (1,), 1, 1)
+    assert sched_oracle(wide) is True  # one delay leaves 39 machines idle
+    with pytest.raises(BudgetError):
+        sched_oracle(wide, max_points=41 * 40 - 1)
 
 
 def test_delay_oracle_cases_and_budget():

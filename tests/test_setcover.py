@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from resilp.engine import check_resiliency, enumerate_scenarios, substitute
-from resilp.errors import ArgumentError, BudgetError, ScenarioError, ValidationError
+from resilp.errors import BudgetError, ScenarioError, ValidationError
 from resilp.ilp import IntAssignment, VarId, solve_feasibility
 from resilp.oracles import (
     hitting_set_oracle,
@@ -363,20 +363,24 @@ def test_hitting_set_generator_agreement_sweep():
 
 
 def test_hitting_set_generator_rejects_bad_input():
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ValidationError):
         gen_from_hitting_set(2, ((1,),), 1)  # sets must have >= 2 members
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ValidationError):
         gen_from_hitting_set(3, ((1, 2), (1, 2, 3)), 1)  # not uniform
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ValidationError):
         gen_from_hitting_set(2, ((1, 5),), 1)  # vertex outside range
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ValidationError):
         gen_from_hitting_set(2, ((True, 2),), 1)  # a bool is not a vertex
+    with pytest.raises(ValidationError, match="repeats a vertex"):
+        gen_from_hitting_set(2, ((1, 1),), 1)
+    with pytest.raises(ValidationError, match="k must be"):
+        gen_from_hitting_set(2, ((1, 2),), -1)
 
 
 def test_3dm_generator_matches_matching_oracle():
     assert rdscp_oracle(gen_from_3dm(1, ((1, 1, 1),), 1)) is True
     assert matching_3dm_oracle(1, ((1, 1, 1),), 2) is False
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ValidationError):
         gen_from_3dm(1, ((1, 1, 1),), 0)  # needs at least one cover
     assert rdscp_oracle(gen_from_3dm(2, ((1, 1, 1), (2, 2, 2)), 2)) is True
     assert rdscp_oracle(gen_from_3dm(2, ((1, 1, 1), (1, 2, 2)), 2)) is False
@@ -400,9 +404,11 @@ def test_3dm_generator_agreement_sweep():
 
 
 def test_3dm_generator_rejects_malformed_triples():
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ValidationError):
         gen_from_3dm(1, ((1, 1),), 1)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ValidationError):
         gen_from_3dm(1, ((1, 1, 2),), 1)  # coordinate outside an axis
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ValidationError):
         gen_from_3dm(1, ((1, 1, 1), (1, 1, 1)), 1)  # duplicate
+    with pytest.raises(ValidationError, match="triples must be a list"):
+        gen_from_3dm(1, "111", 1)
