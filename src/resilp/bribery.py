@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import ResiliencySystem
 from .errors import ArgumentError, BudgetError, ValidationError
-from .ilp import IntAssignment, LinearRow, Rel, make_vars
+from .ilp import IntAssignment, LinearRow, Rel, read_transfer, transfer
 from .jsonio import read_object, require_int, require_ints, require_seq
 
 
@@ -183,69 +183,29 @@ def encode(inst: BriberyInstance) -> ResiliencySystem:
     types = voter_types(m)
     V = inst.election.voters
 
-    z_vars = make_vars(
-        [
-            (_zname(src, dst), 0, inst.election.count(src))
-            for src in types
-            for dst in types
-        ]
-        + [(_yname(order), 0, V) for order in types]
+    z_vars, z_out, z_arrivals, z_spend = transfer(
+        types, _zname, _yname, inst.election.count, V, kendall, inst.ba
     )
     zid = {vid.name: vid for vid, _ in z_vars}
-    x_vars = make_vars(
-        [(_xname(src, dst), 0, V) for src in types for dst in types]
-        + [(_wname(order), 0, V) for order in types]
+    x_vars, x_out, x_arrivals, x_spend = transfer(
+        types, _xname, _wname, lambda src: V, V, kendall, inst.b
     )
     xid = {vid.name: vid for vid, _ in x_vars}
 
-    rows_z: List[LinearRow] = []
-    # every original voter is moved (possibly to their own order)
-    for src in types:
-        rows_z.append(
-            LinearRow(
-                {zid[_zname(src, dst)]: 1 for dst in types},
-                Rel.EQ,
-                inst.election.count(src),
-            )
-        )
-    # intermediate census collects the arrivals
-    for dst in types:
-        coeffs = {zid[_zname(src, dst)]: 1 for src in types}
-        coeffs[zid[_yname(dst)]] = -1
-        rows_z.append(LinearRow(coeffs, Rel.EQ, 0))
-    # adversary's swap budget; with one candidate there are no paid moves
-    # and the row would be vacuous, so it is dropped
-    cost = {
-        zid[_zname(src, dst)]: kendall(src, dst)
-        for src in types
-        for dst in types
-        if src != dst
-    }
-    if cost:
-        rows_z.append(LinearRow(cost, Rel.LEQ, inst.ba))
-
-    rows_xz: List[LinearRow] = []
+    # every original voter is moved (possibly to their own order); the
+    # intermediate census collects the arrivals; the adversary's swap budget
+    rows_z = [
+        LinearRow(out, Rel.EQ, inst.election.count(src))
+        for src, out in z_out.items()
+    ]
+    rows_z += z_arrivals + z_spend
     # response moves exactly the voters the adversary left at each order
-    for src in types:
-        coeffs = {xid[_xname(src, dst)]: 1 for dst in types}
-        coeffs[zid[_yname(src)]] = -1
-        rows_xz.append(LinearRow(coeffs, Rel.EQ, 0))
-
-    rows_x: List[LinearRow] = []
-    # final census collects the response arrivals
-    for dst in types:
-        coeffs = {xid[_xname(src, dst)]: 1 for src in types}
-        coeffs[xid[_wname(dst)]] = -1
-        rows_x.append(LinearRow(coeffs, Rel.EQ, 0))
-    # response swap budget, dropped when vacuous like the adversary's
-    cost = {
-        xid[_xname(src, dst)]: kendall(src, dst)
-        for src in types
-        for dst in types
-        if src != dst
-    }
-    if cost:
-        rows_x.append(LinearRow(cost, Rel.LEQ, inst.b))
+    rows_xz = [
+        LinearRow({**out, zid[_yname(src)]: -1}, Rel.EQ, 0)
+        for src, out in x_out.items()
+    ]
+    # final census collects the response arrivals; the response swap budget
+    rows_x = x_arrivals + x_spend
     # candidate 1 strictly beats every rival on the final census
     for rival in range(2, m + 1):
         coeffs = {}
@@ -293,32 +253,13 @@ def decode_bribery(
     else:
         raise ArgumentError(f"side must be adversary or response, got {side!r}")
 
-    values = flow.by_name()
-    moves = []
-    after = {t: 0 for t in types}
-    spent = 0
-    for src in types:
-        out = 0
-        for dst in types:
-            count = values.get(name(src, dst), 0)
-            if count < 0:
-                raise ValidationError("negative flow")
-            out += count
-            after[dst] += count
-            spent += count * kendall(src, dst)
-            if count > 0 and src != dst:
-                moves.append((src, dst, count))
-        if out != source[src]:
-            raise ValidationError(
-                f"flow out of {_key(src)} is {out}, census says {source[src]}"
-            )
-    if spent > budget:
-        raise ValidationError(f"moves cost {spent} > budget {budget}")
-    for dst in types:
-        if after[dst] != values.get(census_name(dst), 0):
-            raise ValidationError(
-                f"census variable for {_key(dst)} disagrees with the flow"
-            )
+    flows = read_transfer(
+        flow.by_name(), types, name, census_name, source.get, kendall, budget
+    )
+    moves = [
+        (src, dst, count) for (src, dst), count in flows.items() if count and src != dst
+    ]
+    after = {dst: sum(flows[src, dst] for src in types) for dst in types}
     return moves, after
 
 

@@ -336,8 +336,8 @@ def cmd_gen(args) -> int:
     if args.verify:
         from . import oracles
 
-        # the instance's budgeted oracle first: it refuses a source too
-        # large for the unbudgeted source search
+        # the instance's oracle first: its family budget refuses a large
+        # source before a source oracle counts its picks
         got = oracles.rdscp_oracle(inst)
         if hitting:
             expected = not oracles.hitting_set_oracle(n, family, k)
@@ -450,7 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--reduction", choices=("hitting-set", "3dm"), required=True)
     gen.add_argument("source", help="source instance JSON file, or - for stdin")
     gen.add_argument("--verify", action="store_true",
-                     help="cross-check both oracles; exit 3 on mismatch")
+                     help="cross-check both oracles; exit 3 on mismatch, 2 when "
+                          "the instance has more than 12 sets or a source search "
+                          "more than 10**6 picks")
     gen.set_defaults(func=cmd_gen)
 
     rnd = sub.add_parser("gen-random", parents=[common],

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import ResiliencySystem
@@ -29,7 +29,7 @@ from .errors import (
     ScenarioError,
     ValidationError,
 )
-from .ilp import IntAssignment, LinearRow, Rel, make_vars
+from .ilp import IntAssignment, LinearRow, Rel, make_vars, read_transfer, transfer
 from .jsonio import read_object, require_int, require_seq
 
 
@@ -167,10 +167,15 @@ def column_types(matrix: StringMatrix) -> Tuple[ColumnType, ...]:
 
 
 def all_types(k: int, alphabet: Alphabet) -> Tuple[Tuple[str, ...], ...]:
-    """Every normalized column of height k, in lexicographic order."""
+    """Every normalized column of height k, in lexicographic order.
+
+    Only the first k symbols can occur: in a normalized column a symbol
+    that occurs ranks ahead of every symbol that does not, and a column of
+    height k holds at most k distinct symbols.
+    """
     return tuple(
         cells
-        for cells in product(alphabet.symbols, repeat=k)
+        for cells in product(alphabet.symbols[:k], repeat=k)
         if is_normalized_column(cells, alphabet)
     )
 
@@ -275,9 +280,8 @@ def encode(inst: RcsInstance, *, per_row_distance: bool = True) -> ResiliencySys
     for ct in column_types(inst.matrix):
         census[ct.cells] = ct.count
 
-    z_vars = make_vars(
-        [(_zname(src, dst), 0, census[src]) for src in types for dst in types]
-        + [(_cname(t), 0, L) for t in types]
+    z_vars, outflow, arrivals, spend = transfer(
+        types, _zname, _cname, census.get, L, type_distance, inst.m
     )
     zid = {vid.name: vid for vid, _ in z_vars}
     x_vars = make_vars(
@@ -285,29 +289,11 @@ def encode(inst: RcsInstance, *, per_row_distance: bool = True) -> ResiliencySys
     )
     xid = {vid.name: vid for vid, _ in x_vars}
 
-    rows_z: List[LinearRow] = []
-    # every source column goes somewhere
-    for src in types:
-        rows_z.append(
-            LinearRow(
-                {zid[_zname(src, dst)]: 1 for dst in types}, Rel.EQ, census[src]
-            )
-        )
-    # total cell changes within budget; with a single type (k = 1) every
-    # move is free and the row would be vacuous, so it is dropped
-    cost = {
-        zid[_zname(src, dst)]: type_distance(src, dst)
-        for src in types
-        for dst in types
-        if type_distance(src, dst) > 0
-    }
-    if cost:
-        rows_z.append(LinearRow(cost, Rel.LEQ, inst.m))
-    # corrupted census is what arrives
-    for dst in types:
-        coeffs = {zid[_zname(src, dst)]: 1 for src in types}
-        coeffs[zid[_cname(dst)]] = -1
-        rows_z.append(LinearRow(coeffs, Rel.EQ, 0))
+    # every source column goes somewhere; total cell changes within budget
+    # (no row for k = 1, where every move is free); the corrupted census is
+    # what arrives
+    rows_z = [LinearRow(out, Rel.EQ, census[src]) for src, out in outflow.items()]
+    rows_z += spend + arrivals
 
     rows_xz: List[LinearRow] = []
     # the center answers every corrupted column exactly once
@@ -358,38 +344,21 @@ def decode_scenario(inst: RcsInstance, scenario: IntAssignment) -> StringMatrix:
     census = {t: 0 for t in types}
     for ct in column_types(inst.matrix):
         census[ct.cells] = ct.count
+    try:
+        flows = read_transfer(
+            values, types, _zname, _cname, census.get, type_distance, inst.m
+        )
+    except ValidationError as exc:
+        raise ScenarioError(str(exc)) from exc
+
     positions: Dict[Tuple[str, ...], List[int]] = {t: [] for t in types}
     for j in range(L):
         positions[inst.matrix.column(j)].append(j)
-
-    spent = 0
+    unmoved = {t: iter(columns) for t, columns in positions.items()}
     new_columns: List[Optional[Tuple[str, ...]]] = [None] * L
-    for src in types:
-        queue = positions[src]
-        taken = 0
-        for dst in types:
-            count = values[_zname(src, dst)]
-            if count < 0:
-                raise ScenarioError("negative transfer count")
-            for _ in range(count):
-                if taken >= len(queue):
-                    raise ScenarioError(
-                        f"more columns of type {_tkey(src)} moved than exist"
-                    )
-                new_columns[queue[taken]] = dst
-                taken += 1
-            spent += count * type_distance(src, dst)
-        if taken != census[src]:
-            raise ScenarioError(
-                f"type {_tkey(src)} census mismatch: moved {taken}, "
-                f"have {census[src]}"
-            )
-    if spent > inst.m:
-        raise ScenarioError(f"{spent} cell changes exceed the budget {inst.m}")
-    for dst in types:
-        arrived = sum(1 for c in new_columns if c == dst)
-        if arrived != values[_cname(dst)]:
-            raise ScenarioError(f"census variable for {_tkey(dst)} disagrees")
+    for (src, dst), count in flows.items():
+        for j in islice(unmoved[src], count):
+            new_columns[j] = dst
     rows = tuple(
         "".join(new_columns[j][i] for j in range(L)) for i in range(k)
     )

@@ -17,6 +17,12 @@ are scanned again.
 The same search, run to exhaustion, enumerates every feasible point in
 lexicographic order of variable values; the resiliency engine uses that
 to walk adversarial scenarios.
+
+Two encoders phrase a move between types the same way: integer variables
+count the units of type s that become type d, a census counts what
+arrives at each type, and a budget row caps the cost of the paid moves.
+:func:`transfer` builds that block and :func:`read_transfer` reads an
+assignment of it back, checking every row it stands for.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, UnboundedVarError, ValidationError
@@ -455,3 +462,72 @@ def make_vars(specs: Sequence[Tuple[str, int, int]]) -> Tuple[Tuple[VarId, VarBo
         (VarId(i, name), VarBounds(lower, upper))
         for i, (name, lower, upper) in enumerate(specs)
     )
+
+
+def transfer(types, move, census, upper, total, cost, budget) -> tuple:
+    """Variables and rows of a block that moves units between ``types``.
+
+    ``move(s, d)`` names the count of units of type s that become type d,
+    ``census(d)`` the count that ends at d.  Returns four things:
+
+    - the variables: the moves in (s, d) order, each with box
+      [0, upper(s)], then the census variables, each with box [0, total];
+    - per source s, the coefficients of its outflow (each move out of s,
+      its stay included, with coefficient 1); the caller finishes the row;
+    - the arrival rows: census(d) equals the moves into d;
+    - the budget row, ``sum(cost(s, d) * move(s, d)) <= budget`` over the
+      moves that cost something, as a list; it is empty when no move
+      costs anything, where the row would be vacuous.
+    """
+    variables = make_vars(
+        [(move(s, d), 0, upper(s)) for s in types for d in types]
+        + [(census(d), 0, total) for d in types]
+    )
+    ids = [vid for vid, _ in variables]
+    moves = dict(zip(product(types, repeat=2), ids))
+    counts = dict(zip(types, ids[len(moves):]))
+    arrivals = [
+        LinearRow({**{moves[s, d]: 1 for s in types}, counts[d]: -1}, Rel.EQ, 0)
+        for d in types
+    ]
+    outflow = {s: {moves[s, d]: 1 for d in types} for s in types}
+    paid = {vid: c for (s, d), vid in moves.items() if (c := cost(s, d))}
+    spend = [LinearRow(paid, Rel.LEQ, budget)] if paid else []
+    return variables, outflow, arrivals, spend
+
+
+def read_transfer(values, types, move, census, source, cost, budget) -> dict:
+    """The counts ``{(s, d): count}`` of a :func:`transfer` block, in (s, d)
+    order, read from ``values`` (name -> int; a missing name reads as 0).
+
+    Raises :class:`ValidationError` when a count is negative, when a
+    source s does not send exactly ``source(s)`` units, when the moves
+    cost more than ``budget``, or when a census variable differs from
+    what arrives.  Types are tuples; a message shows one as its items
+    joined.
+    """
+    flows = {}
+    for s in types:
+        out = 0
+        for d in types:
+            count = flows[s, d] = values.get(move(s, d), 0)
+            if count < 0:
+                raise ValidationError(f"negative flow: {move(s, d)} = {count}")
+            out += count
+        if out != source(s):
+            raise ValidationError(
+                f"flow out of {_show(s)} is {out}, census says {source(s)}"
+            )
+    spent = sum(count * cost(s, d) for (s, d), count in flows.items() if count)
+    if spent > budget:
+        raise ValidationError(f"moves cost {spent} > budget {budget}")
+    for d in types:
+        if values.get(census(d), 0) != sum(flows[s, d] for s in types):
+            raise ValidationError(
+                f"census variable for {_show(d)} disagrees with the flow"
+            )
+    return flows
+
+
+def _show(t) -> str:
+    return "".join(map(str, t))

@@ -166,10 +166,27 @@ def rdscp_oracle(inst: RdscpInstance) -> bool:
     return True
 
 
+_SOURCE_MAX_PICKS = 10**6
+
+
+def _check_picks(n: int, k: int) -> None:
+    """Refuse a search over the subsets of at most k of n items when there
+    are more than the budget allows, before it starts.  The count stops
+    as soon as it passes the budget, so a large n or k costs nothing."""
+    total = 0
+    for size in range(min(k, n) + 1):
+        total += comb(n, size)
+        if total > _SOURCE_MAX_PICKS:
+            raise BudgetError(
+                f"more than {_SOURCE_MAX_PICKS} picks of at most {k} out of {n}"
+            )
+
+
 def hitting_set_oracle(n: int, sets: Sequence[Sequence[int]], k: int) -> bool:
     """Is there a set of at most k elements meeting every given set?"""
     if any(not s for s in sets):
         return False
+    _check_picks(n, k)
     elems = list(range(1, n + 1))
     families = [set(s) for s in sets]
     for size in range(min(k, n) + 1):
@@ -204,6 +221,9 @@ def matching_3dm_oracle(
 
     if k < 0:
         raise ValidationError("matching size must be >= 0")
+    # the walk tries each pick of at most k triples once, one level per
+    # triple chosen, so the budget also bounds its depth
+    _check_picks(len(triples), k)
     return walk(0, k, (set(), set(), set()))
 
 

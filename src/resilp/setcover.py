@@ -475,12 +475,15 @@ def gen_from_3dm(
     hub = 3 * m + 4
     universe = set(range(1, hub + 1))
 
-    blocks = []
-    for axis in range(3):
-        for i in range(1, n + 1):
-            members = {tag(axis, j) for j, tr in enumerate(cleaned) if tr[axis] == i}
-            members.add(anchor[axis])
-            blocks.append(frozenset(members))
+    # coordinate block (axis, i): the tags of the triples with coordinate i
+    # on that axis, plus the axis anchor
+    members = [[{anchor[axis]} for _ in range(n + 1)] for axis in range(3)]
+    for j, tr in enumerate(cleaned):
+        for axis in range(3):
+            members[axis][tr[axis]].add(tag(axis, j))
+    blocks = [
+        frozenset(members[axis][i]) for axis in range(3) for i in range(1, n + 1)
+    ]
     collectors = [
         frozenset(
             universe

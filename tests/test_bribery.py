@@ -258,6 +258,31 @@ def test_decode_rejects_a_flow_that_breaks_the_census():
         decode_bribery(inst, "adversary", moved)
 
 
+# each breach of a transfer block, as (values, message) for the move and
+# census prefixes of one side; the election holds one voter at 12
+_BREACHES = {
+    "negative count": ({"{m}[12->12]": 2, "{m}[12->21]": -1, "{c}[12]": 1},
+                       "negative flow"),
+    "outflow": ({"{m}[12->12]": 2, "{c}[12]": 2},
+                "flow out of 12 is 2, census says 1"),
+    "budget": ({"{m}[12->21]": 1, "{c}[21]": 1}, "moves cost 1 > budget 0"),
+    "census": ({"{m}[12->12]": 1, "{c}[21]": 1}, "census variable for 12 disagrees"),
+}
+
+
+@pytest.mark.parametrize("breach", _BREACHES)
+@pytest.mark.parametrize("side, m, c", [("adversary", "z", "y"), ("response", "x", "w")])
+def test_decode_rejects_each_transfer_breach(breach, side, m, c):
+    inst = BriberyInstance(Election(2, {(1, 2): 1}, (1, 0)), 0, 0)
+    template, message = _BREACHES[breach]
+    flow = IntAssignment({
+        VarId(i, name.format(m=m, c=c)): v
+        for i, (name, v) in enumerate(template.items())
+    })
+    with pytest.raises(ValidationError, match=message):
+        decode_bribery(inst, side, flow, pre_census={(1, 2): 1})
+
+
 def test_vote_counts_are_read_as_given():
     doc = {"candidates": 2, "votes": [{"order": [1, 2], "count": True}],
            "scoring": [1, 0], "ba": 0, "b": 0}

@@ -2,9 +2,11 @@
 closest-string encoder."""
 
 import random
+from itertools import product
 
 import pytest
 
+import resilp.closest_string as closest_string
 from resilp.closest_string import (
     Alphabet,
     RcsInstance,
@@ -130,6 +132,26 @@ def test_all_types_enumeration():
             assert is_normalized_column(t, AB)
 
 
+@pytest.mark.parametrize("size", range(1, 7))
+def test_all_types_tries_only_the_symbols_that_can_occur(size, monkeypatch):
+    alphabet = Alphabet(tuple("abcdef"[:size]))
+    real = closest_string.is_normalized_column
+    for k in range(1, 5):
+        everything = tuple(
+            cells
+            for cells in product(alphabet.symbols, repeat=k)
+            if real(cells, alphabet)
+        )
+        tried = []
+        monkeypatch.setattr(
+            closest_string, "is_normalized_column",
+            lambda cells, alpha: tried.append(cells) or real(cells, alpha),
+        )
+        assert all_types(k, alphabet) == everything
+        monkeypatch.undo()
+        assert len(tried) <= k**k
+
+
 def test_type_distance_and_mismatch_count():
     assert type_distance(("a", "b"), ("a", "b")) == 0
     assert type_distance(("a", "b"), ("b", "a")) == 2
@@ -228,6 +250,26 @@ def test_decode_scenario_rejects_foreign_names():
     inst = RcsInstance(_matrix("a"), 0, 0)
     with pytest.raises(ScenarioError):
         decode_scenario(inst, IntAssignment({VarId(0, "z[aa->ab]"): 0}))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"z[aa->aa]": 2, "z[aa->ab]": -1}, "negative flow: z\\[aa->ab\\] = -1"),
+        ({"z[aa->aa]": 2}, "flow out of aa is 2, census says 1"),
+        ({"z[aa->aa]": 0, "z[aa->ab]": 1, "cnt[aa]": 0, "cnt[ab]": 1},
+         "moves cost 1 > budget 0"),
+        ({"cnt[aa]": 0, "cnt[ab]": 1}, "census variable for aa disagrees"),
+    ],
+    ids=["negative count", "outflow", "budget", "census"],
+)
+def test_decode_scenario_rejects_each_transfer_breach(changes, message):
+    inst = RcsInstance(_matrix("a", "a"), 0, 0)
+    identity = next(enumerate_scenarios(encode(inst)))
+    values = {**identity.by_name(), **changes}
+    scenario = IntAssignment({vid: values[vid.name] for vid in identity.values})
+    with pytest.raises(ScenarioError, match=message):
+        decode_scenario(inst, scenario)
 
 
 def test_decode_solution_identical_rows():

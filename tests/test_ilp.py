@@ -28,6 +28,8 @@ from resilp.ilp import (
     VarId,
     _propagate,
     evaluate,
+    read_transfer,
+    transfer,
     format_rational,
     iter_feasible,
     make_vars,
@@ -476,3 +478,51 @@ def test_zero_coefficients_count_as_support_but_not_value():
     (x, _), (y, _) = sys_.variables
     a = IntAssignment({x: 3, y: 1})
     assert evaluate(sys_, a) is None
+
+
+# --- transfer blocks ------------------------------------------------------------
+
+
+def _bits_transfer(cost, budget=1):
+    """Two types, 0 and 1, holding 2 and 1 units; a move costs ``cost``."""
+    return transfer(
+        ((0,), (1,)), lambda s, d: f"m{s[0]}{d[0]}", lambda d: f"c{d[0]}",
+        {(0,): 2, (1,): 1}.get, 3, cost, budget,
+    )
+
+
+def test_transfer_lays_out_moves_census_arrivals_and_budget():
+    variables, outflow, arrivals, spend = _bits_transfer(lambda s, d: abs(s[0] - d[0]))
+    assert [(v.name, b.lower, b.upper) for v, b in variables] == [
+        ("m00", 0, 2), ("m01", 0, 2), ("m10", 0, 1), ("m11", 0, 1),
+        ("c0", 0, 3), ("c1", 0, 3),
+    ]
+    vid = {v.name: v for v, _ in variables}
+    assert outflow == {(0,): {vid["m00"]: 1, vid["m01"]: 1},
+                       (1,): {vid["m10"]: 1, vid["m11"]: 1}}
+    assert arrivals == [
+        LinearRow({vid["m00"]: 1, vid["m10"]: 1, vid["c0"]: -1}, Rel.EQ, 0),
+        LinearRow({vid["m01"]: 1, vid["m11"]: 1, vid["c1"]: -1}, Rel.EQ, 0),
+    ]
+    assert spend == [LinearRow({vid["m01"]: 1, vid["m10"]: 1}, Rel.LEQ, 1)]
+    # no move costs anything: the budget row would be vacuous
+    assert _bits_transfer(lambda s, d: 0)[3] == []
+
+
+def test_read_transfer_agrees_with_the_rows_transfer_builds():
+    cost = lambda s, d: abs(s[0] - d[0])  # noqa: E731
+    types = ((0,), (1,))
+    variables, outflow, arrivals, spend = _bits_transfer(cost)
+    source = {(0,): 2, (1,): 1}
+    rows = [LinearRow(out, Rel.EQ, source[s]) for s, out in outflow.items()]
+    system = LinearSystem(variables, tuple(rows + arrivals + spend))
+    seen = 0
+    for point in iter_feasible(system):
+        flows = read_transfer(
+            point.by_name(), types, lambda s, d: f"m{s[0]}{d[0]}",
+            lambda d: f"c{d[0]}", source.get, cost, 1,
+        )
+        assert flows == {(s, d): point.by_name()[f"m{s[0]}{d[0]}"]
+                         for s in types for d in types}
+        seen += 1
+    assert seen == 3  # stay put, or move one unit either way

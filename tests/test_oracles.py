@@ -121,6 +121,20 @@ def test_matching_oracle():
     assert matching_3dm_oracle(2, triples, 0) is True
 
 
+def test_source_oracles_refuse_a_search_past_their_budget():
+    # a 3DM walk as deep as 1,500 chosen triples used to end in RecursionError
+    diagonal = [(i, i, i) for i in range(1, 1501)]
+    with pytest.raises(BudgetError, match="picks of at most 1500 out of 1500"):
+        matching_3dm_oracle(1500, diagonal, 1500)
+    edges = [(2 * i + 1, 2 * i + 2) for i in range(21)]
+    with pytest.raises(BudgetError, match="picks of at most 20 out of 42"):
+        hitting_set_oracle(42, edges, 20)
+    # the budget counts picks, not items: a small k over many items runs
+    assert matching_3dm_oracle(1500, diagonal, 1) is True
+    assert hitting_set_oracle(1000, edges, 1) is False
+    assert hitting_set_oracle(1000, edges[:1], 1) is True
+
+
 def test_plain_center_string_oracle():
     assert closest_string_oracle(("aa", "aa"), 0, "ab") is True
     assert closest_string_oracle(("ab", "ba"), 0, "ab") is False

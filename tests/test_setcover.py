@@ -403,6 +403,28 @@ def test_3dm_generator_agreement_sweep():
         assert rdscp_oracle(inst) == matching_3dm_oracle(n, triples, k)
 
 
+def test_3dm_coordinate_blocks_hold_the_triples_on_their_coordinate():
+    rng = random.Random(40906)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        triples = sorted({
+            tuple(rng.randint(1, n) for _ in range(3))
+            for _ in range(rng.randint(1, 8))
+        })
+        m = len(triples)
+        # block (axis, i): tag axis*m + j + 1 of every triple j with
+        # coordinate i on that axis, plus anchor 3m + 1 + axis
+        blocks = tuple(
+            frozenset(
+                {axis * m + j + 1 for j, tr in enumerate(triples) if tr[axis] == i}
+            )
+            | {3 * m + 1 + axis}
+            for axis in range(3)
+            for i in range(1, n + 1)
+        )
+        assert gen_from_3dm(n, triples, 1).family[: 3 * n] == blocks
+
+
 def test_3dm_generator_rejects_malformed_triples():
     with pytest.raises(ValidationError):
         gen_from_3dm(1, ((1, 1),), 1)

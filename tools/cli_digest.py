@@ -1,0 +1,121 @@
+"""Digest of what the CLI prints, for comparing two checkouts.
+
+Runs ``resilp.cli.main`` in process on every perfbench document
+(``encode --kappa``, ``check --decode``, rcs also with
+``--aggregate-distance``, and ``oracle``) and runs ``gen`` and
+``gen --verify`` on the reduction sources the tests use.  Prints one line
+per run: its label, its exit code and short hashes of stdout and stderr,
+with ``wall_time`` values and the document path masked.  A refactor that
+should not change behaviour shows no difference:
+
+    python3 tools/cli_digest.py > before.txt    # at the parent commit
+    python3 tools/cli_digest.py > after.txt     # at the change
+    diff before.txt after.txt
+
+Imports resilp from the ``src/`` of the checkout this file sits in.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import re
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from resilp import cli  # noqa: E402
+
+import workloads  # noqa: E402
+
+_WALL_TIME = re.compile(r'("wall_time": )[-+.0-9e]+')
+
+
+def _hash(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def run(argv, path: str) -> str:
+    """Exit code and masked output hashes of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+
+    def mask(text):
+        return _WALL_TIME.sub(r"\1<t>", text.replace(path, "<path>"))
+
+    return f"exit={code} out={_hash(mask(out.getvalue()))} err={_hash(mask(err.getvalue()))}"
+
+
+def document_runs(problem: str):
+    """(label, argv) for one perfbench document of ``problem``."""
+    which = ["--raw"] if problem == "raw" else ["--problem", problem]
+    if problem != "raw":
+        yield "encode", ["encode", "--problem", problem, "--kappa"]
+    yield "check", ["check", *which, "--decode"]
+    if problem == "rcs":
+        yield "check-aggregate", ["check", *which, "--decode", "--aggregate-distance"]
+    yield "oracle", ["oracle", *which]
+
+
+def gen_sources():
+    """(label, reduction, source) for the sources the tests reduce."""
+    yield "hs-edge", "hitting-set", {"n": 2, "sets": [[1, 2]], "k": 1}
+    yield "hs-empty", "hitting-set", {"n": 1, "sets": [], "k": 0}
+    yield "hs-21-edges", "hitting-set", {
+        "n": 42, "sets": [[2 * i + 1, 2 * i + 2] for i in range(21)], "k": 20
+    }
+    yield "hs-malformed", "hitting-set", {"n": 2, "k": 1}
+    yield "3dm-single", "3dm", {"n": 1, "triples": [[1, 1, 1]], "k": 1}
+    yield "3dm-short", "3dm", {"n": 1, "triples": [[1, 1]], "k": 1}
+    # the seeded sources of acceptance criteria 3 and 4
+    for seed in range(50):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        sets = [
+            sorted(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 4))
+        ]
+        yield f"hs-seed{seed}", "hitting-set", {"n": n, "sets": sets, "k": rng.randint(0, 2)}
+    for seed in range(50):
+        rng = random.Random(seed)
+        n = rng.randint(1, 2)
+        triples = sorted(
+            {
+                (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
+                for _ in range(rng.randint(0, 4))
+            }
+        )
+        doc = {"n": n, "triples": [list(t) for t in triples], "k": rng.randint(1, 2)}
+        yield f"3dm-seed{seed}", "3dm", doc
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "doc.json")
+
+        def digest(label, argv, doc):
+            Path(path).write_text(json.dumps(doc))
+            print(f"{label} {run(argv + [path], path)}", flush=True)
+
+        for iid, problem, doc in workloads.all_instances():
+            for what, argv in document_runs(problem):
+                digest(f"{what} {iid}", argv, doc)
+        for name, reduction, doc in gen_sources():
+            for flags in ([], ["--verify"]):
+                argv = ["gen", "--reduction", reduction, *flags]
+                digest(" ".join(["gen", *flags, name]), argv, doc)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
