@@ -37,7 +37,6 @@ _EXPORTS = {
     "NormalizationError": "errors",
     "ResilpError": "errors",
     "ScenarioError": "errors",
-    "UnboundedVarError": "errors",
     "ValidationError": "errors",
     "IntAssignment": "ilp",
     "LinearRow": "ilp",

@@ -25,7 +25,7 @@ from .engine import (
     enumerate_scenarios,
     substitute,
 )
-from .errors import ArgumentError, ResilpError
+from .errors import ArgumentError, ResilpError, ValidationError
 from .ilp import IntAssignment, solve_feasibility
 from .jsonio import (
     assignment_to_dict,
@@ -47,7 +47,10 @@ def _read_doc(path: str):
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValidationError("document nests too deeply to read") from None
 
 
 def _scalar(value) -> str:
@@ -115,7 +118,7 @@ def _load_instance(problem: str, doc):
 def _encode_instance(problem: str, inst, args) -> ResiliencySystem:
     if problem in ("rdscp", "policy"):
         from . import setcover
-        return setcover.encode(inst, max_patterns=args.max_patterns)
+        return setcover.encode(inst)
     if problem == "rcs":
         from . import closest_string
         return closest_string.encode(
@@ -408,11 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("instance", help="instance JSON file, or - for stdin")
     enc.add_argument("--kappa", action="store_true",
                      help="print kappa and payload size to stderr")
-    patterns_help = (
-        "rdscp/policy: refuse more cover patterns than this; the pattern "
-        "search itself refuses more than 10**6 group combinations"
-    )
-    enc.add_argument("--max-patterns", type=int, default=None, help=patterns_help)
     enc.add_argument("--aggregate-distance", action="store_true",
                      help="rcs only: one total-distance row instead of per-row rows")
     enc.set_defaults(func=cmd_encode)
@@ -431,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="attach a human-readable witness or sample solution")
     chk.add_argument("--max-scenarios", type=int, default=1_000_000)
     chk.add_argument("--max-points", type=int, default=10_000_000)
-    chk.add_argument("--max-patterns", type=int, default=None, help=patterns_help)
     chk.add_argument("--aggregate-distance", action="store_true")
     chk.set_defaults(func=cmd_check)
 
@@ -448,7 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", parents=[common],
                          help="reduce a source problem to an rdscp instance")
     gen.add_argument("--reduction", choices=("hitting-set", "3dm"), required=True)
-    gen.add_argument("source", help="source instance JSON file, or - for stdin")
+    gen.add_argument("source", help="source instance JSON file, or - for stdin; "
+                                    "exit 2 when the instance would hold more "
+                                    "than 10**6 set members")
     gen.add_argument("--verify", action="store_true",
                      help="cross-check both oracles; exit 3 on mismatch, 2 when "
                           "the instance has more than 12 sets or a source search "
@@ -478,7 +477,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ResilpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

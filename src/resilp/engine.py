@@ -143,8 +143,7 @@ class _Kernel:
             sum(c * z[j] for j, c in items) <= rhs
             for items, rhs in self.zsys._search.rows
         ) and all(
-            (lower is None or lower <= v) and (upper is None or v <= upper)
-            for v, (lower, upper) in zip(z, self.zbox)
+            lower <= v <= upper for v, (lower, upper) in zip(z, self.zbox)
         ):
             return z
         return None
@@ -202,17 +201,17 @@ def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSyste
 
 
 def check_resiliency(
-    system: ResiliencySystem, *, max_scenarios: Optional[int] = 1_000_000
+    system: ResiliencySystem, *, max_scenarios: int = 1_000_000
 ) -> ResiliencyVerdict:
     """Decide resiliency by scenario enumeration plus per-scenario solving.
 
-    Stops at the first failing scenario.  ``max_scenarios`` guards runaway
-    adversarial domains; ``None`` disables the guard.
+    Stops at the first failing scenario.  More than ``max_scenarios``
+    scenarios raise :class:`BudgetError`.
     """
     checked = 0
     for scenario in enumerate_scenarios(system):
         checked += 1
-        if max_scenarios is not None and checked > max_scenarios:
+        if checked > max_scenarios:
             raise BudgetError(
                 f"scenario budget exceeded ({max_scenarios}); raise the cap "
                 "to keep searching"

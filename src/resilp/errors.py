@@ -29,14 +29,6 @@ class DomainError(ResilpError):
         super().__init__("; ".join(parts) or "domain mismatch")
 
 
-class UnboundedVarError(ResilpError):
-    """A variable lacks a finite lower or upper bound."""
-
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"variable {name!r} has no finite box")
-
-
 class ScenarioError(ResilpError):
     """An adversarial assignment violates its own block's constraints."""
 

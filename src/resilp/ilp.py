@@ -36,27 +36,31 @@ from functools import cached_property
 from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, UnboundedVarError, ValidationError
+from .errors import DomainError, ValidationError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def parse_rational(value: Union[int, str]) -> Fraction:
     """Parse a serialized rational: a JSON integer or a ``"p/q"`` string.
 
-    Floats are rejected so inexact values can never leak into a system.
+    The string must match ``-?[0-9]+/[0-9]+`` in full, the pattern of the
+    schema in docs/formats.md.  Floats are rejected so inexact values can
+    never leak into a system.
     """
-    if isinstance(value, bool):
-        raise ValidationError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
         num, _, den = value.partition("/")
-        if not den:
-            return Fraction(int(num))
-        if int(den) == 0:
+        try:
+            num, den = int(num), int(den)
+        except ValueError:  # more digits than int() reads
+            raise ValidationError(
+                f"rational has too many digits: {len(value)} characters"
+            ) from None
+        if den == 0:
             raise ValidationError(f"zero denominator: {value!r}")
-        return Fraction(int(num), int(den))
+        return Fraction(num, den)
     raise ValidationError(f"not a rational: {value!r}")
 
 
@@ -84,32 +88,23 @@ class VarId:
 
 @dataclass(frozen=True)
 class VarBounds:
-    """Inclusive integer box for one variable.
+    """Inclusive integer box for one variable: two ints, lower <= upper."""
 
-    ``None`` on either side means unbounded; the solver refuses such
-    variables with :class:`UnboundedVarError`, but the type tolerates them
-    so deserialized documents can be inspected before being solved.
-    """
-
-    lower: Optional[int]
-    upper: Optional[int]
+    lower: int
+    upper: int
 
     def __post_init__(self):
         for side in (self.lower, self.upper):
-            if side is not None and (isinstance(side, bool) or not isinstance(side, int)):
-                raise ValidationError(f"bound must be an integer or None: {side!r}")
-        if self.lower is not None and self.upper is not None and self.lower > self.upper:
+            if type(side) is not int:
+                raise ValidationError(f"bound must be an integer: {side!r}")
+        if self.lower > self.upper:
             raise ValidationError(f"empty box: [{self.lower}, {self.upper}]")
-
-    @property
-    def finite(self) -> bool:
-        return self.lower is not None and self.upper is not None
 
 
 def _coerce_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int:
         return Fraction(value)
     raise ValidationError(f"coefficient must be an int or Fraction, got {value!r}")
 
@@ -193,7 +188,7 @@ class IntAssignment:
     def __post_init__(self):
         clean = {}
         for vid, v in dict(self.values).items():
-            if isinstance(v, bool) or not isinstance(v, int):
+            if type(v) is not int:
                 raise ValidationError(f"assignment value must be an integer: {v!r}")
             clean[vid] = v
         object.__setattr__(self, "values", clean)
@@ -245,10 +240,7 @@ def evaluate(system: LinearSystem, assignment: IntAssignment) -> Optional[Violat
         if not ok:
             return Violation(row=i)
     for vid, bounds in system.variables:
-        v = assignment.values[vid]
-        if bounds.lower is not None and v < bounds.lower:
-            return Violation(var=vid)
-        if bounds.upper is not None and v > bounds.upper:
+        if not bounds.lower <= assignment.values[vid] <= bounds.upper:
             return Violation(var=vid)
     return None
 
@@ -406,14 +398,7 @@ def _branches(lo, hi, k):
 
 
 def iter_feasible(system: LinearSystem) -> Iterator[IntAssignment]:
-    """All feasible points, in lexicographic order of variable values.
-
-    Bounds are validated eagerly (raising :class:`UnboundedVarError`)
-    before the generator is handed back.
-    """
-    for vid, bounds in system.variables:
-        if not bounds.finite:
-            raise UnboundedVarError(vid.name)
+    """All feasible points, in lexicographic order of variable values."""
     rows, watch = system._search
     varids = [vid for vid, _ in system.variables]
     lo0 = [bounds.lower for _, bounds in system.variables]

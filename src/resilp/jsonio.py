@@ -124,7 +124,11 @@ def _variables_from_list(items) -> list:
     for entry in require_seq(items, "variables"):
         name, lo, hi = read_object(entry, ("name", "lower", "upper"), "variable")
         _require(isinstance(name, str) and name, "variable name must be a string")
-        out.append((name, VarBounds(lo, hi)))
+        try:
+            bounds = VarBounds(lo, hi)
+        except ValidationError as exc:
+            raise ValidationError(f"variable {name!r}: {exc}") from None
+        out.append((name, bounds))
     return out
 
 

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 from .bribery import BriberyInstance
 from .closest_string import RcsInstance
 from .engine import ResiliencySystem
-from .errors import BudgetError, UnboundedVarError, ValidationError
+from .errors import BudgetError, ValidationError
 from .ilp import LinearRow, Rel
 from .scheduling import SchedulingInstance
 from .setcover import RdscpInstance
@@ -41,8 +41,6 @@ def forall_exists_oracle(
     """
     span = 1
     for _, b in system.x_vars + system.z_vars:
-        if not b.finite:
-            raise UnboundedVarError("oracle needs finite boxes")
         span *= b.upper - b.lower + 1
         if span > max_points:
             raise BudgetError(f"box product exceeds {max_points} points")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .engine import ResiliencySystem
 from .errors import BudgetError, ScenarioError, ValidationError
@@ -103,17 +103,14 @@ _MAX_COMBINATIONS = 10**6
 
 
 def cover_patterns(
-    inst: RdscpInstance,
-    groups: Sequence[FamilyGroup],
-    *,
-    max_patterns: Optional[int] = None,
+    inst: RdscpInstance, groups: Sequence[FamilyGroup]
 ) -> Tuple[Tuple[frozenset, ...], ...]:
     """Every set of at most ``t`` distinct group contents covering the
     universe, in (size, group order) order.
 
     The search tries every combination of at most ``t`` groups, so more
     than ``_MAX_COMBINATIONS`` of them raise :class:`BudgetError` before
-    it starts; ``max_patterns`` caps the patterns found.
+    it starts.
     """
     universe = frozenset(range(1, inst.n + 1))
     contents = [g.content for g in groups]
@@ -128,10 +125,6 @@ def cover_patterns(
         for combo in combinations(contents, size):
             if frozenset().union(*combo) == universe:
                 patterns.append(tuple(combo))
-                if max_patterns is not None and len(patterns) > max_patterns:
-                    raise BudgetError(
-                        f"more than {max_patterns} cover patterns; raise the cap"
-                    )
     return tuple(patterns)
 
 
@@ -146,9 +139,7 @@ def _xname(pattern: Tuple[frozenset, ...]) -> str:
 _MAX_N = 6
 
 
-def encode(
-    inst: RdscpInstance, *, max_patterns: Optional[int] = None
-) -> ResiliencySystem:
+def encode(inst: RdscpInstance) -> ResiliencySystem:
     """Partitioned system whose resiliency equals the instance's answer.
 
     Pattern enumeration is exponential in the universe, so universes above
@@ -160,7 +151,7 @@ def encode(
             f"universe size {inst.n} exceeds the pattern budget (n <= {_MAX_N})"
         )
     groups = groups_of(inst)
-    patterns = cover_patterns(inst, groups, max_patterns=max_patterns)
+    patterns = cover_patterns(inst, groups)
 
     x_vars = make_vars([(_xname(p), 0, inst.d) for p in patterns])
     z_vars = make_vars(
@@ -383,6 +374,19 @@ def from_policy(policy: AuthorizationPolicy) -> RdscpInstance:
 # hardness-style instance generators
 # ---------------------------------------------------------------------------
 
+# Both generators count the set members of the instance they would build
+# (the sum of the member counts of its sets) from the source, and refuse
+# more than this before they build anything.
+_MAX_MEMBERS = 10**6
+
+
+def _check_members(total: int) -> None:
+    if total > _MAX_MEMBERS:
+        raise BudgetError(
+            f"the instance would hold {total} set members, more than the "
+            f"generator budget ({_MAX_MEMBERS})"
+        )
+
 
 def gen_from_hitting_set(
     n: int, sets: Sequence[Sequence[int]], k: int
@@ -415,6 +419,12 @@ def gen_from_hitting_set(
         raise ValidationError("set size must be at least 2")
 
     m = len(cleaned)
+    # Each (delta-1)-subset lies in the n-delta+1 vertex sets outside it
+    # (n * C(n-1, delta-1) in all), each pad slot in one vertex set, and
+    # each collector holds the hub and the pads of the other m-1 sets.
+    _check_members(
+        comb(n, delta - 1) * (n - delta + 1) + m * delta + m * (1 + (m - 1) * delta)
+    )
     qs = list(combinations(range(1, n + 1), delta - 1))
     q_elem = {q: idx + 1 for idx, q in enumerate(qs)}
     base_pad = len(qs)
@@ -469,6 +479,9 @@ def gen_from_3dm(
         raise ValidationError("duplicate triples")
 
     m = len(cleaned)
+    # Each coordinate block holds its anchor and one tag per triple using
+    # that coordinate; each collector holds all but 3 tags and 3 anchors.
+    _check_members(3 * n + 3 * m + m * (3 * m - 2))
     # universe: per-edge tags for each coordinate, three part anchors, a hub
     tag = lambda axis, j: axis * m + j + 1  # noqa: E731  axis in {0,1,2}
     anchor = {0: 3 * m + 1, 1: 3 * m + 2, 2: 3 * m + 3}

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -177,16 +178,18 @@ def test_injected_oracle_mutant_exits_3(tmp_path, capsys, monkeypatch):
     assert "disagreement" in err
 
 
-def test_unexpected_crash_exits_2_with_traceback(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, KeyError, TypeError])
+def test_unexpected_crash_exits_2_with_traceback(tmp_path, capsys, monkeypatch, error):
+    # input errors are ResilpErrors; any other exception is a bug
     import resilp.scheduling as scheduling
 
     def broken(inst):
-        raise RuntimeError("encoder bug")
+        raise error("encoder bug")
 
     monkeypatch.setattr(scheduling, "encode", broken)
     code, out, err = run(capsys, "check", "--problem", "sched", write(tmp_path, SCHED_YES))
     assert code == 2 and out == ""
-    assert "Traceback" in err and "RuntimeError: encoder bug" in err
+    assert "Traceback" in err and f"{error.__name__}: " in err and "encoder bug" in err
 
 
 def test_unanswerable_sample_scenario_exits_2_with_traceback(
@@ -220,7 +223,7 @@ def test_unanswerable_sample_scenario_exits_2_under_optimize(tmp_path):
 
 
 def test_check_scenario_budget_exits_2(tmp_path, capsys):
-    sched, rdscp = write(tmp_path, SCHED_YES), write(tmp_path, RDSCP, "r.json")
+    sched = write(tmp_path, SCHED_YES)
     cases = [
         (["check", "--problem", "sched", sched, "--max-scenarios", "1"], "budget"),
         (
@@ -228,10 +231,6 @@ def test_check_scenario_budget_exits_2(tmp_path, capsys):
             "box product exceeds 1 points",
         ),
         (["oracle", "--problem", "sched", sched, "--max-points", "1"], "exceeds 1"),
-        (
-            ["check", "--problem", "rdscp", rdscp, "--max-patterns", "0"],
-            "more than 0 cover patterns; raise the cap",
-        ),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
@@ -379,6 +378,52 @@ def test_pattern_search_is_budgeted(tmp_path, capsys):
     code, out, err = run(capsys, "encode", "--problem", "rdscp", path)
     assert (code, out) == (2, "")
     assert "exceed the pattern search budget" in err
+
+
+def _write_text(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    return str(path)
+
+
+NULL_BOUND = {
+    "variables": [{"name": "x", "lower": 0, "upper": None}], "zvars": [], "rows": []
+}
+STRING_INTEGER_COEFF = {
+    "variables": [{"name": "x", "lower": 0, "upper": 3},
+                  {"name": "z", "lower": 0, "upper": 1}],
+    "zvars": ["z"],
+    "rows": [{"coeffs": {"x": "3", "z": 1}, "rel": "<=", "rhs": "+2/1"}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["check", "--raw"], json.dumps(NULL_BOUND), "variable 'x'"),
+        (["check", "--raw"], json.dumps(STRING_INTEGER_COEFF), "not a rational: '3'"),
+        (["check", "--raw"], "[" * 100_000 + "]" * 100_000, "nests too deeply"),
+        # just over the generators' 10**6-member budget: 1,082,400 members
+        (
+            ["gen", "--reduction", "3dm"],
+            json.dumps({"n": 600, "triples": [[i, i, i] for i in range(1, 601)], "k": 1}),
+            "1082400 set members",
+        ),
+        # 60 * C(59, 3) + 4 + 1 = 1,950,545 members
+        (
+            ["gen", "--reduction", "hitting-set"],
+            json.dumps({"n": 60, "sets": [[1, 2, 3, 4]], "k": 1}),
+            "1950545 set members",
+        ),
+    ],
+    ids=["null-bound", "string-integer", "deep-nesting", "3dm-600", "hitting-set-60"],
+)
+def test_bad_input_exits_2_with_a_named_error(argv, text, message, tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, _write_text(tmp_path, text))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
 def test_gen_random_deterministic(capsys):

@@ -480,4 +480,4 @@ def test_scenario_budget_raises():
     sys_ = _rsys([], [("z", 0, 9)])
     with pytest.raises(BudgetError):
         check_resiliency(sys_, max_scenarios=5)
-    assert check_resiliency(sys_, max_scenarios=None).scenarios_checked == 10
+    assert check_resiliency(sys_, max_scenarios=10).scenarios_checked == 10

@@ -9,7 +9,7 @@ import pytest
 from resilp.bribery import BriberyInstance, Election
 from resilp.closest_string import Alphabet, RcsInstance, StringMatrix
 from resilp.engine import ResiliencySystem, check_resiliency
-from resilp.errors import BudgetError, UnboundedVarError, ValidationError
+from resilp.errors import BudgetError, ValidationError
 from resilp.ilp import LinearRow, Rel, VarBounds, VarId
 from resilp.oracles import (
     _compositions,
@@ -48,13 +48,10 @@ def test_pinned_x_cannot_follow_z():
     assert forall_exists_oracle(system) is False
 
 
-def test_box_budget_and_unbounded_rejection():
+def test_box_budget_raises():
     x = _vars("x", [(0, 99_999_999)])
     with pytest.raises(BudgetError):
         forall_exists_oracle(ResiliencySystem(x, (), (), (), ()))
-    loose = _vars("x", [(0, None)])
-    with pytest.raises(UnboundedVarError):
-        forall_exists_oracle(ResiliencySystem(loose, (), (), (), ()))
 
 
 def test_oracle_matches_engine_on_random_systems():

@@ -15,6 +15,7 @@ from resilp.oracles import (
     rdscp_oracle,
     rdscp_packing_exists,
 )
+from resilp import setcover
 from resilp.setcover import (
     AuthorizationPolicy,
     RdscpInstance,
@@ -87,9 +88,6 @@ def test_pattern_enumeration():
 def test_pattern_budget_raises():
     with pytest.raises(BudgetError):
         encode(_inst(7, [tuple(range(1, 8))], 0, 1, 1))
-    with pytest.raises(BudgetError):
-        inst = _inst(3, [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3)], 0, 1, 3)
-        cover_patterns(inst, groups_of(inst), max_patterns=2)
 
 
 def test_t_is_clamped_to_universe_size():
@@ -375,6 +373,38 @@ def test_hitting_set_generator_rejects_bad_input():
         gen_from_hitting_set(2, ((1, 1),), 1)
     with pytest.raises(ValidationError, match="k must be"):
         gen_from_hitting_set(2, ((1, 2),), -1)
+
+
+def _random_sources(rng):
+    """Small hitting-set and 3DM sources, uniform set sizes 2 to 4."""
+    for _ in range(100):
+        n = rng.randint(0, 7)
+        delta = rng.randint(2, 4) if n >= 4 else 2
+        pool = list(combinations(range(1, n + 1), delta))
+        rng.shuffle(pool)
+        yield gen_from_hitting_set, (n, tuple(pool[: rng.randint(0, 5)]), 1)
+        n = rng.randint(0, 3)
+        pool = [
+            (a, b, c)
+            for a in range(1, n + 1)
+            for b in range(1, n + 1)
+            for c in range(1, n + 1)
+        ]
+        rng.shuffle(pool)
+        yield gen_from_3dm, (n, tuple(pool[: rng.randint(0, 6)]), 1)
+
+
+def test_generators_count_their_members_before_building(monkeypatch):
+    # the budget, set to exactly the members built, passes; one less refuses
+    budget = setcover._MAX_MEMBERS
+    for generate, args in _random_sources(random.Random(40907)):
+        monkeypatch.setattr(setcover, "_MAX_MEMBERS", budget)
+        members = sum(len(member) for member in generate(*args).family)
+        monkeypatch.setattr(setcover, "_MAX_MEMBERS", members - 1)
+        with pytest.raises(BudgetError, match=f"would hold {members} set members"):
+            generate(*args)
+        monkeypatch.setattr(setcover, "_MAX_MEMBERS", members)
+        generate(*args)
 
 
 def test_3dm_generator_matches_matching_oracle():

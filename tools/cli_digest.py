@@ -3,7 +3,8 @@
 Runs ``resilp.cli.main`` in process on every perfbench document
 (``encode --kappa``, ``check --decode``, rcs also with
 ``--aggregate-distance``, and ``oracle``) and runs ``gen`` and
-``gen --verify`` on the reduction sources the tests use.  Prints one line
+``gen --verify`` on the reduction sources the tests use, then runs a few
+inputs that must be refused (``error_runs``).  Prints one line
 per run: its label, its exit code and short hashes of stdout and stderr,
 with ``wall_time`` values and the document path masked.  A refactor that
 should not change behaviour shows no difference:
@@ -99,21 +100,54 @@ def gen_sources():
         yield f"3dm-seed{seed}", "3dm", doc
 
 
+def error_runs():
+    """(label, argv, document text) for inputs the CLI must refuse: a null
+    bound, a bare-integer string coefficient, nesting deeper than the JSON
+    reader recurses, reduction sources just over the generators' member
+    budget, and the ``--max-patterns`` option, which no longer exists."""
+    raw = ["check", "--raw"]
+    yield "null-bound", raw, json.dumps(
+        {"variables": [{"name": "x", "lower": 0, "upper": None}], "zvars": [], "rows": []}
+    )
+    yield "string-integer", raw, json.dumps(
+        {
+            "variables": [
+                {"name": "x", "lower": 0, "upper": 3},
+                {"name": "z", "lower": 0, "upper": 1},
+            ],
+            "zvars": ["z"],
+            "rows": [{"coeffs": {"x": "3", "z": 1}, "rel": "<=", "rhs": "+2/1"}],
+        }
+    )
+    yield "deep-nesting", raw, "[" * 100_000 + "]" * 100_000
+    yield "3dm-600", ["gen", "--reduction", "3dm"], json.dumps(
+        {"n": 600, "triples": [[i, i, i] for i in range(1, 601)], "k": 1}
+    )
+    yield "hs-60", ["gen", "--reduction", "hitting-set"], json.dumps(
+        {"n": 60, "sets": [[1, 2, 3, 4]], "k": 1}
+    )
+    yield "max-patterns", ["check", "--problem", "rdscp", "--max-patterns", "1"], json.dumps(
+        {"n": 2, "family": [[1], [2], [1, 2]], "s": 1, "d": 1, "t": 2}
+    )
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "doc.json")
 
-        def digest(label, argv, doc):
-            Path(path).write_text(json.dumps(doc))
+        def digest(label, argv, text):
+            Path(path).write_text(text)
             print(f"{label} {run(argv + [path], path)}", flush=True)
 
         for iid, problem, doc in workloads.all_instances():
             for what, argv in document_runs(problem):
-                digest(f"{what} {iid}", argv, doc)
+                digest(f"{what} {iid}", argv, json.dumps(doc))
         for name, reduction, doc in gen_sources():
             for flags in ([], ["--verify"]):
                 argv = ["gen", "--reduction", reduction, *flags]
-                digest(" ".join(["gen", *flags, name]), argv, doc)
+                digest(" ".join(["gen", *flags, name]), argv, json.dumps(doc))
+        for name, argv, text in error_runs():
+            digest(f"error {name}", argv, text)
     return 0
 
 
