@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .engine import ResiliencySystem
-from .errors import ArgumentError, BudgetError, ValidationError
+from .errors import ArgumentError, BudgetError, ScenarioError, ValidationError
 from .ilp import IntAssignment, LinearRow, Rel, read_transfer, transfer
 from .jsonio import read_object, require_int, require_ints, require_seq
 
@@ -222,45 +222,51 @@ def encode(inst: BriberyInstance) -> ResiliencySystem:
     )
 
 
-def decode_bribery(
-    inst: BriberyInstance,
-    side: str,
-    flow: IntAssignment,
-    *,
-    pre_census: Optional[Dict[Tuple[int, ...], int]] = None,
-) -> Tuple[List[Tuple[Tuple[int, ...], Tuple[int, ...], int]], Dict[Tuple[int, ...], int]]:
-    """Flow variables -> explicit moves plus the census they produce.
+Moves = List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]
+Census = Dict[Tuple[int, ...], int]
 
-    ``side`` selects which half to read: "adversary" decodes the z block
-    against the original census and budget ``ba``; "response" decodes the
-    x block against ``pre_census`` (required) and budget ``b``.  Flows
-    that break a marginal or the budget raise :class:`ValidationError`.
-    """
-    m = inst.election.m
-    types = voter_types(m)
-    if side == "adversary":
-        source = {t: inst.election.count(t) for t in types}
-        name = _zname
-        census_name = _yname
-        budget = inst.ba
-    elif side == "response":
-        if pre_census is None:
-            raise ArgumentError("response decoding needs the intermediate census")
-        source = {t: pre_census.get(t, 0) for t in types}
-        name = _xname
-        census_name = _wname
-        budget = inst.b
-    else:
-        raise ArgumentError(f"side must be adversary or response, got {side!r}")
 
+def _read_moves(inst, values, move, census, source, budget) -> Tuple[Moves, Census]:
+    """One transfer block -> its explicit moves plus the census they leave."""
+    types = voter_types(inst.election.m)
     flows = read_transfer(
-        flow.by_name(), types, name, census_name, source.get, kendall, budget
+        values.by_name(), types, move, census, source, kendall, budget
     )
     moves = [
         (src, dst, count) for (src, dst), count in flows.items() if count and src != dst
     ]
-    after = {dst: sum(flows[src, dst] for src in types) for dst in types}
-    return moves, after
+    return moves, {dst: sum(flows[src, dst] for src in types) for dst in types}
+
+
+def decode_scenario(
+    inst: BriberyInstance, scenario: IntAssignment
+) -> Tuple[Moves, Census]:
+    """The z block -> the adversary's moves out of the original census and
+    the intermediate census they leave.
+
+    A name outside the block, or a flow that breaks a marginal or the
+    budget ``ba``, raises :class:`ScenarioError`.
+    """
+    try:
+        return _read_moves(
+            inst, scenario, _zname, _yname, inst.election.count, inst.ba
+        )
+    except ValidationError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
+def decode_solution(
+    inst: BriberyInstance, adversary: Tuple[Moves, Census], x_values: IntAssignment
+) -> Tuple[Moves, Census]:
+    """The x block -> our moves out of the intermediate census of
+    ``adversary`` (as :func:`decode_scenario` returns it) and the final
+    census.  A flow that breaks a marginal or the budget ``b`` raises
+    :class:`ValidationError`.
+    """
+    _, mid = adversary
+    return _read_moves(
+        inst, x_values, _xname, _wname, lambda t: mid.get(t, 0), inst.b
+    )
 
 
 def unique_winner(election: Election, census: Dict[Tuple[int, ...], int]) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 import time
@@ -19,14 +20,8 @@ from typing import Dict, List, Optional, Tuple
 # Only what every `check` runs is imported here: a module-level import
 # runs on every `resilp` start.  Problem modules, oracles and generators
 # load on the path that uses them, and are called as module attributes.
-from .engine import (
-    ResiliencySystem,
-    check_resiliency,
-    enumerate_scenarios,
-    substitute,
-)
+from .engine import ResiliencySystem, check_resiliency
 from .errors import ArgumentError, ResilpError, ValidationError
-from .ilp import IntAssignment, solve_feasibility
 from .jsonio import (
     assignment_to_dict,
     read_object,
@@ -96,39 +91,42 @@ def _emit(doc, fmt: str) -> None:
 
 
 def _load_instance(problem: str, doc):
+    """The instance, and the per-column renaming the rcs reader applied to
+    its strings (empty for every other problem)."""
     if problem == "rdscp":
         from . import setcover
-        return setcover.RdscpInstance.from_dict(doc)
+        return setcover.RdscpInstance.from_dict(doc), ()
     if problem == "policy":
         from . import setcover
-        return setcover.from_policy(setcover.AuthorizationPolicy.from_dict(doc))
+        return setcover.from_policy(setcover.AuthorizationPolicy.from_dict(doc)), ()
     if problem == "rcs":
         from . import closest_string
-        inst, _ = closest_string.instance_from_dict(doc)
-        return inst
+        return closest_string.instance_from_dict(doc)
     if problem == "sched":
         from . import scheduling
-        return scheduling.SchedulingInstance.from_dict(doc)
+        return scheduling.SchedulingInstance.from_dict(doc), ()
     if problem == "bribery":
         from . import bribery
-        return bribery.BriberyInstance.from_dict(doc)
+        return bribery.BriberyInstance.from_dict(doc), ()
     raise ArgumentError(f"unknown problem {problem!r}")
 
 
+_MODULES = {"rdscp": "setcover", "policy": "setcover", "rcs": "closest_string",
+            "sched": "scheduling", "bribery": "bribery"}
+
+
+def _module(problem: str):
+    """The module that encodes and decodes ``problem``, loaded on first use."""
+    return importlib.import_module(f".{_MODULES[problem]}", __package__)
+
+
+def _options(problem: str, args) -> dict:
+    """rcs's distance contract, which its encoder and decoder share."""
+    return {"per_row_distance": not args.aggregate_distance} if problem == "rcs" else {}
+
+
 def _encode_instance(problem: str, inst, args) -> ResiliencySystem:
-    if problem in ("rdscp", "policy"):
-        from . import setcover
-        return setcover.encode(inst)
-    if problem == "rcs":
-        from . import closest_string
-        return closest_string.encode(
-            inst, per_row_distance=not args.aggregate_distance
-        )
-    if problem == "sched":
-        from . import scheduling
-        return scheduling.encode(inst)
-    from . import bribery
-    return bribery.encode(inst)
+    return _module(problem).encode(inst, **_options(problem, args))
 
 
 def _oracle_answer(problem: str, inst, args) -> bool:
@@ -143,103 +141,74 @@ def _oracle_answer(problem: str, inst, args) -> bool:
     return oracles.bribery_oracle(inst)
 
 
-def _census_doc(census: Dict[Tuple[int, ...], int]) -> Dict[str, int]:
+def _moves_doc(moves, census: Dict[Tuple[int, ...], int]) -> dict:
     return {
-        "".join(str(c) for c in order): count
-        for order, count in census.items()
-        if count
+        "moves": [
+            {
+                "from": "".join(str(c) for c in src),
+                "to": "".join(str(c) for c in dst),
+                "count": count,
+            }
+            for src, dst, count in moves
+        ],
+        "census_after": {
+            "".join(str(c) for c in order): count
+            for order, count in census.items()
+            if count
+        },
     }
 
 
-def _moves_doc(moves) -> List[dict]:
-    return [
-        {
-            "from": "".join(str(c) for c in src),
-            "to": "".join(str(c) for c in dst),
-            "count": count,
-        }
-        for src, dst, count in moves
-    ]
-
-
-def _decode_payload(
-    problem: Optional[str],
-    inst,
-    scenario: IntAssignment,
-    x_values: Optional[IntAssignment],
-    *,
-    per_row: bool = True,
-) -> dict:
-    """Witness/sample scenario plus, when present, its decoded answer."""
-    payload: dict = {"scenario": assignment_to_dict(scenario)}
-    if problem is None:
-        payload["adversary"] = None
-        payload["solution"] = assignment_to_dict(x_values)
-        return payload
+def _adversary_doc(problem: str, inst, adversary, renaming) -> dict:
     if problem in ("rdscp", "policy"):
-        from . import setcover
-        removed = setcover.decode_scenario(inst, scenario)
-        payload["adversary"] = {
-            "removed_indices": list(removed),
-            "removed_sets": [sorted(inst.family[i]) for i in removed],
+        return {
+            "removed_indices": list(adversary),
+            "removed_sets": [sorted(inst.family[i]) for i in adversary],
         }
-        payload["solution"] = (
-            [list(cover) for cover in setcover.decode_solution(inst, x_values, removed)]
-            if x_values is not None
-            else None
-        )
-    elif problem == "rcs":
-        from . import closest_string
-        corrupted = closest_string.decode_scenario(inst, scenario)
-        payload["adversary"] = {"corrupted": list(corrupted.rows)}
-        payload["solution"] = (
-            {
-                "center": closest_string.decode_solution(
-                    inst, corrupted, x_values, per_row_distance=per_row
-                )
-            }
-            if x_values is not None
-            else None
-        )
-    elif problem == "sched":
-        from . import scheduling
-        delays = scheduling.decode_scenario(inst, scenario)
-        payload["adversary"] = {"delays": list(delays)}
-        payload["solution"] = (
-            {"assignment": scheduling.decode_schedule(inst, delays, x_values)}
-            if x_values is not None
-            else None
-        )
-    else:
-        from . import bribery
-        moves, after = bribery.decode_bribery(inst, "adversary", scenario)
-        payload["adversary"] = {
-            "moves": _moves_doc(moves),
-            "census_after": _census_doc(after),
-        }
-        if x_values is not None:
-            rmoves, final = bribery.decode_bribery(
-                inst, "response", x_values, pre_census=after
-            )
-            payload["solution"] = {
-                "moves": _moves_doc(rmoves),
-                "census_after": _census_doc(final),
-            }
-        else:
-            payload["solution"] = None
-    return payload
+    if problem == "rcs":
+        from .closest_string import denormalize_rows
+        return {"corrupted": list(denormalize_rows(adversary.rows, renaming))}
+    if problem == "sched":
+        return {"delays": list(adversary)}
+    return _moves_doc(*adversary)
 
 
-def _build_decode(problem, inst, system, verdict, *, per_row: bool):
+def _solution_doc(problem: str, solution, renaming):
+    if problem in ("rdscp", "policy"):
+        return [list(cover) for cover in solution]
+    if problem == "rcs":
+        from .closest_string import denormalize_rows
+        return {"center": denormalize_rows((solution,), renaming)[0]}
+    if problem == "sched":
+        return {"assignment": solution}
+    return _moves_doc(*solution)
+
+
+def _decode_payload(problem: Optional[str], inst, renaming, verdict, args):
+    """The witness, or a resilient verdict's first scenario with the answer
+    the check found for it, read back in the problem's terms."""
     if verdict.resilient:
-        scenario = next(enumerate_scenarios(system), None)
-        if scenario is None:
+        if verdict.sample is None:
             return None
-        x_values = solve_feasibility(substitute(system, scenario))
-        if x_values is None:
-            raise RuntimeError("resilient verdict with an unanswerable scenario")
-        return _decode_payload(problem, inst, scenario, x_values, per_row=per_row)
-    return _decode_payload(problem, inst, verdict.witness_z, None, per_row=per_row)
+        scenario, x_values = verdict.sample
+    else:
+        scenario, x_values = verdict.witness_z, None
+    payload = {
+        "scenario": assignment_to_dict(scenario),
+        "adversary": None,
+        "solution": assignment_to_dict(x_values),
+    }
+    if problem is None:
+        return payload
+    module = _module(problem)
+    adversary = module.decode_scenario(inst, scenario)
+    payload["adversary"] = _adversary_doc(problem, inst, adversary, renaming)
+    if x_values is not None:
+        solution = module.decode_solution(
+            inst, adversary, x_values, **_options(problem, args)
+        )
+        payload["solution"] = _solution_doc(problem, solution, renaming)
+    return payload
 
 
 # ------------------------------------------------------------ subcommands
@@ -247,7 +216,7 @@ def _build_decode(problem, inst, system, verdict, *, per_row: bool):
 
 def cmd_encode(args) -> int:
     doc = _read_doc(args.instance)
-    inst = _load_instance(args.problem, doc)
+    inst, _ = _load_instance(args.problem, doc)
     system = _encode_instance(args.problem, inst, args)
     out = resiliency_to_dict(system)
     if args.kappa:
@@ -263,11 +232,11 @@ def cmd_encode(args) -> int:
 def cmd_check(args) -> int:
     doc = _read_doc(args.instance)
     if args.raw:
-        problem, inst = None, None
+        problem, inst, renaming = None, None, ()
         system = resiliency_from_dict(doc)
     else:
         problem = args.problem
-        inst = _load_instance(problem, doc)
+        inst, renaming = _load_instance(problem, doc)
         system = _encode_instance(problem, inst, args)
 
     start = time.perf_counter()
@@ -296,9 +265,7 @@ def cmd_check(args) -> int:
             )
             code = 3
     if args.decode:
-        report["decoded"] = _build_decode(
-            problem, inst, system, verdict, per_row=not args.aggregate_distance
-        )
+        report["decoded"] = _decode_payload(problem, inst, renaming, verdict, args)
     _emit(report, args.format)
     return code
 
@@ -313,7 +280,8 @@ def cmd_oracle(args) -> int:
             resiliency_from_dict(doc), max_points=args.max_points
         )
     else:
-        answer = _oracle_answer(args.problem, _load_instance(args.problem, doc), args)
+        inst, _ = _load_instance(args.problem, doc)
+        answer = _oracle_answer(args.problem, inst, args)
     report = {
         "answer": answer,
         "wall_time": round(time.perf_counter() - start, 6),

@@ -156,12 +156,15 @@ class ResiliencyVerdict:
     ``witness_z`` is the lexicographically first failing scenario when not
     resilient, else ``None``.  ``scenarios_checked`` counts scenarios
     examined before termination; for a resilient verdict it equals the
-    exact number of admissible scenarios.
+    exact number of admissible scenarios.  ``sample`` is the first
+    scenario with the x the check found for it (``None`` when that
+    scenario has no answer), or ``None`` when there is no scenario.
     """
 
     resilient: bool
     witness_z: Optional[IntAssignment]
     scenarios_checked: int
+    sample: Optional[Tuple[IntAssignment, Optional[IntAssignment]]] = None
 
 
 def enumerate_scenarios(system: ResiliencySystem) -> Iterator[IntAssignment]:
@@ -209,6 +212,7 @@ def check_resiliency(
     scenarios raise :class:`BudgetError`.
     """
     checked = 0
+    sample = None
     for scenario in enumerate_scenarios(system):
         checked += 1
         if checked > max_scenarios:
@@ -216,7 +220,10 @@ def check_resiliency(
                 f"scenario budget exceeded ({max_scenarios}); raise the cap "
                 "to keep searching"
             )
-        if solve_feasibility(substitute(system, scenario)) is None:
-            return ResiliencyVerdict(False, scenario, checked)
-    return ResiliencyVerdict(True, None, checked)
+        x_values = solve_feasibility(substitute(system, scenario))
+        if sample is None:
+            sample = (scenario, x_values)
+        if x_values is None:
+            return ResiliencyVerdict(False, scenario, checked, sample)
+    return ResiliencyVerdict(True, None, checked, sample)
 

@@ -485,12 +485,16 @@ def read_transfer(values, types, move, census, source, cost, budget) -> dict:
     """The counts ``{(s, d): count}`` of a :func:`transfer` block, in (s, d)
     order, read from ``values`` (name -> int; a missing name reads as 0).
 
-    Raises :class:`ValidationError` when a count is negative, when a
-    source s does not send exactly ``source(s)`` units, when the moves
-    cost more than ``budget``, or when a census variable differs from
-    what arrives.  Types are tuples; a message shows one as its items
-    joined.
+    Raises :class:`ValidationError` when a name is not one of the block's
+    variables, when a count is negative, when a source s does not send
+    exactly ``source(s)`` units, when the moves cost more than ``budget``,
+    or when a census variable differs from what arrives.  Types are
+    tuples; a message shows one as its items joined.
     """
+    known = {move(s, d) for s in types for d in types} | set(map(census, types))
+    if not values.keys() <= known:
+        unknown = ", ".join(sorted(values.keys() - known))
+        raise ValidationError(f"not a variable of the block: {unknown}")
     flows = {}
     for s in types:
         out = 0

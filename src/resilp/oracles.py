@@ -128,9 +128,11 @@ def rdscp_packing_exists(
         if i not in seen:
             key = frozenset(members)
             kept[key] = kept.get(key, 0) + 1
+    universe = frozenset().union(*inst.family)
+    if len(universe) < inst.n:
+        return False  # members lie in 1..n, so some element is in no set
     groups = _rdscp_groups(inst)
     remaining = [kept.get(g, 0) for g, _ in groups]
-    universe = frozenset(range(1, inst.n + 1))
     return _packing_exists(universe, groups, remaining, inst.d, inst.t)
 
 
@@ -144,8 +146,10 @@ def rdscp_oracle(inst: RdscpInstance) -> bool:
         raise BudgetError(f"family larger than {_RDSCP_MAX_FAMILY} sets")
     if max(inst.s, inst.d, inst.t) > _RDSCP_MAX_SDT:
         raise BudgetError("s, d or t beyond the enumeration budget")
+    universe = frozenset().union(*inst.family)
+    if len(universe) < inst.n:
+        return False  # members lie in 1..n, so no removal leaves a cover
     groups = _rdscp_groups(inst)
-    universe = frozenset(range(1, inst.n + 1))
 
     def removals(i: int, left: int, taken: List[int]):
         if i == len(groups):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .engine import ResiliencySystem
-from .errors import ValidationError
+from .errors import ScenarioError, ValidationError
 from .ilp import IntAssignment, LinearRow, Rel, make_vars
 from .jsonio import read_object, require_int, require_ints, require_seq
 
@@ -123,16 +123,16 @@ def decode_scenario(inst: SchedulingInstance, scenario: IntAssignment) -> Tuple[
     values = scenario.by_name()
     expected = {_dname(i) for i in range(inst.machines)}
     if set(values) != expected:
-        raise ValidationError("scenario names do not match the delay variables")
+        raise ScenarioError("scenario names do not match the delay variables")
     delays = tuple(values[_dname(i)] for i in range(inst.machines))
     if any(d < 0 or d > inst.K for d in delays):
-        raise ValidationError("delay outside [0, K]")
+        raise ScenarioError("delay outside [0, K]")
     if sum(delays) > inst.K:
-        raise ValidationError(f"delays total {sum(delays)} > {inst.K}")
+        raise ScenarioError(f"delays total {sum(delays)} > {inst.K}")
     return delays
 
 
-def decode_schedule(
+def decode_solution(
     inst: SchedulingInstance,
     delays: Tuple[int, ...],
     x_values: IntAssignment,

@@ -112,18 +112,19 @@ def cover_patterns(
     than ``_MAX_COMBINATIONS`` of them raise :class:`BudgetError` before
     it starts.
     """
-    universe = frozenset(range(1, inst.n + 1))
     contents = [g.content for g in groups]
-    tries = sum(comb(len(contents), size) for size in range(1, inst.t + 1))
+    sizes = range(1, min(inst.t, len(contents)) + 1)
+    tries = sum(comb(len(contents), size) for size in sizes)
     if tries > _MAX_COMBINATIONS:
         raise BudgetError(
             f"{tries} group combinations exceed the pattern search budget "
             f"({_MAX_COMBINATIONS})"
         )
     patterns = []
-    for size in range(1, inst.t + 1):
+    for size in sizes:
         for combo in combinations(contents, size):
-            if frozenset().union(*combo) == universe:
+            # members lie in 1..n, so a union of n members is the universe
+            if len(frozenset().union(*combo)) == inst.n:
                 patterns.append(tuple(combo))
     return tuple(patterns)
 
@@ -136,20 +137,13 @@ def _xname(pattern: Tuple[frozenset, ...]) -> str:
     return "x[" + "|".join(",".join(map(str, sorted(c))) for c in pattern) + "]"
 
 
-_MAX_N = 6
-
-
 def encode(inst: RdscpInstance) -> ResiliencySystem:
     """Partitioned system whose resiliency equals the instance's answer.
 
-    Pattern enumeration is exponential in the universe, so universes above
-    ``_MAX_N`` elements raise :class:`BudgetError` up front.  Variable and
-    row counts depend on the distinct contents only.
+    Pattern enumeration is exponential in the distinct contents, so
+    :func:`cover_patterns` checks its budget before it starts.  Variable
+    and row counts depend on the distinct contents only.
     """
-    if inst.n > _MAX_N:
-        raise BudgetError(
-            f"universe size {inst.n} exceeds the pattern budget (n <= {_MAX_N})"
-        )
     groups = groups_of(inst)
     patterns = cover_patterns(inst, groups)
 
@@ -215,8 +209,8 @@ def decode_scenario(inst: RdscpInstance, scenario: IntAssignment) -> Tuple[int, 
 
 def decode_solution(
     inst: RdscpInstance,
-    x_values: IntAssignment,
     removed: Sequence[int],
+    x_values: IntAssignment,
 ) -> Tuple[Tuple[int, ...], ...]:
     """Pattern counts -> ``d`` concrete disjoint covers (copy index tuples).
 

@@ -357,7 +357,7 @@ def test_criterion_09_witness_soundness():
                 system,
                 verdict,
                 lambda inst=inst, w=verdict.witness_z: bribery_response_exists(
-                    inst, bribery.decode_bribery(inst, "adversary", w)[1]
+                    inst, bribery.decode_scenario(inst, w)[1]
                 ),
             )
     _report(

@@ -8,14 +8,15 @@ import pytest
 from resilp.bribery import (
     BriberyInstance,
     Election,
-    decode_bribery,
+    decode_scenario,
+    decode_solution,
     encode,
     kendall,
     unique_winner,
     voter_types,
 )
 from resilp.engine import check_resiliency, enumerate_scenarios, substitute
-from resilp.errors import ArgumentError, BudgetError, ValidationError
+from resilp.errors import ArgumentError, BudgetError, ScenarioError, ValidationError
 from resilp.ilp import IntAssignment, VarId, solve_feasibility
 from resilp.oracles import _swap_cost, bribery_oracle, bribery_response_exists
 
@@ -100,7 +101,7 @@ def test_variable_boxes_and_budget():
 def test_adversary_witness_decodes_to_one_flip():
     inst = BriberyInstance(_two_one_election(), 1, 0)
     verdict = check_resiliency(encode(inst))
-    moves, after = decode_bribery(inst, "adversary", verdict.witness_z)
+    moves, after = decode_scenario(inst, verdict.witness_z)
     assert moves == [((1, 2), (2, 1), 1)]
     assert after == {(1, 2): 1, (2, 1): 2}
     assert not unique_winner(inst.election, after)
@@ -111,7 +112,7 @@ def test_identity_flow_decodes_to_empty_plan():
     inst = BriberyInstance(_two_one_election(), 0, 0)
     system = encode(inst)
     scenario = next(enumerate_scenarios(system))
-    moves, after = decode_bribery(inst, "adversary", scenario)
+    moves, after = decode_scenario(inst, scenario)
     assert moves == []
     assert after == {(1, 2): 2, (2, 1): 1}
 
@@ -121,24 +122,14 @@ def test_response_decoding_round_trip():
     system = encode(inst)
     exercised = 0
     for scenario in enumerate_scenarios(system):
-        _, mid = decode_bribery(inst, "adversary", scenario)
+        adversary = decode_scenario(inst, scenario)
         x = solve_feasibility(substitute(system, scenario))
         assert x is not None
-        moves, final = decode_bribery(inst, "response", x, pre_census=mid)
+        moves, final = decode_solution(inst, adversary, x)
         assert unique_winner(inst.election, final)
         assert sum(final.values()) == 3
         exercised += len(moves)
     assert exercised > 0
-
-
-def test_response_side_requires_the_intermediate_census():
-    inst = BriberyInstance(_two_one_election(), 0, 0)
-    system = encode(inst)
-    scenario = next(enumerate_scenarios(system))
-    with pytest.raises(ArgumentError):
-        decode_bribery(inst, "response", scenario)
-    with pytest.raises(ArgumentError):
-        decode_bribery(inst, "sideways", scenario)
 
 
 def test_election_validation():
@@ -251,11 +242,11 @@ def test_budget_monotonicity():
 
 def test_decode_rejects_a_flow_that_breaks_the_census():
     inst = BriberyInstance(Election(2, {(1, 2): 1}, (1, 0)), 0, 0)
-    with pytest.raises(ValidationError, match="census says 1"):
-        decode_bribery(inst, "adversary", IntAssignment({}))
+    with pytest.raises(ScenarioError, match="census says 1"):
+        decode_scenario(inst, IntAssignment({}))
     moved = IntAssignment({VarId(0, "z[12->21]"): 1})
-    with pytest.raises(ValidationError, match="budget 0"):
-        decode_bribery(inst, "adversary", moved)
+    with pytest.raises(ScenarioError, match="budget 0"):
+        decode_scenario(inst, moved)
 
 
 # each breach of a transfer block, as (values, message) for the move and
@@ -279,8 +270,12 @@ def test_decode_rejects_each_transfer_breach(breach, side, m, c):
         VarId(i, name.format(m=m, c=c)): v
         for i, (name, v) in enumerate(template.items())
     })
-    with pytest.raises(ValidationError, match=message):
-        decode_bribery(inst, side, flow, pre_census={(1, 2): 1})
+    if side == "adversary":
+        with pytest.raises(ScenarioError, match=message):
+            decode_scenario(inst, flow)
+    else:
+        with pytest.raises(ValidationError, match=message):
+            decode_solution(inst, ([], {(1, 2): 1}), flow)
 
 
 def test_vote_counts_are_read_as_given():

@@ -271,6 +271,22 @@ def test_rational_sweep_engine_matches_oracle():
     assert outcomes.count(True) > 40 and outcomes.count(False) > 40
 
 
+def test_rational_sweep_verdict_carries_the_first_scenario():
+    rng = random.Random(0xF7AC)
+    empty = 0
+    for _ in range(400):
+        sys_ = _random_rational_resiliency(rng)
+        first = next(enumerate_scenarios(sys_), None)
+        verdict = check_resiliency(sys_)
+        if first is None:
+            assert verdict.sample is None
+            empty += 1
+        else:
+            answer = solve_feasibility(substitute(sys_, first))
+            assert verdict.sample == (first, answer)
+    assert 0 < empty < 400
+
+
 def test_rational_sweep_enumeration_matches_brute():
     rng = random.Random(0x9A7E)
     scenario_points = 0

@@ -2,6 +2,7 @@
 guards, and a cross-check against the engine on raw systems."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -24,7 +25,7 @@ from resilp.oracles import (
     sched_oracle,
 )
 from resilp.scheduling import SchedulingInstance
-from resilp.setcover import RdscpInstance
+from resilp.setcover import RdscpInstance, encode
 
 
 def _vars(prefix, bounds):
@@ -91,6 +92,21 @@ def test_removal_oracle_budgets():
         rdscp_oracle(RdscpInstance(1, tuple(((1,),) * 13), 0, 1, 1))
     with pytest.raises(BudgetError):
         rdscp_oracle(RdscpInstance(1, ((1,),), 5, 1, 1))
+
+
+def test_removal_oracle_holds_no_set_of_the_universe_size():
+    # the family misses every element past 3, so no cover exists; the
+    # oracles find that without a set of 10**6 elements (tens of MB)
+    inst = RdscpInstance(10**6, ((1,), (2, 3)), 0, 1, 2)
+    tracemalloc.start()
+    try:
+        answers = rdscp_oracle(inst), rdscp_packing_exists(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == (False, False)
+    assert answers[0] is check_resiliency(encode(inst)).resilient
+    assert peak < 10**6
 
 
 def test_packing_check_with_removed_copies():

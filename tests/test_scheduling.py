@@ -14,14 +14,14 @@ from resilp.engine import (
     enumerate_scenarios,
     substitute,
 )
-from resilp.errors import ValidationError
+from resilp.errors import ScenarioError, ValidationError
 from resilp.ilp import IntAssignment, VarId, solve_feasibility
 from resilp.jsonio import resiliency_from_dict, resiliency_to_dict
 from resilp.oracles import sched_oracle
 from resilp.scheduling import (
     SchedulingInstance,
     decode_scenario,
-    decode_schedule,
+    decode_solution,
     encode,
 )
 
@@ -86,7 +86,7 @@ def test_decode_schedule_single_machine():
     delays = decode_scenario(inst, scenario)
     assert delays == (0,)
     x = solve_feasibility(substitute(system, scenario))
-    assert decode_schedule(inst, delays, x) == [[3]]
+    assert decode_solution(inst, delays, x) == [[3]]
 
 
 def test_decode_schedule_with_a_delayed_machine():
@@ -96,7 +96,7 @@ def test_decode_schedule_with_a_delayed_machine():
     for scenario in enumerate_scenarios(system):
         delays = decode_scenario(inst, scenario)
         x = solve_feasibility(substitute(system, scenario))
-        table = decode_schedule(inst, delays, x)
+        table = decode_solution(inst, delays, x)
         assert sum(row[0] for row in table) == 2
         for i in range(2):
             assert delays[i] + table[i][0] <= 2
@@ -114,19 +114,19 @@ def test_zero_jobs_always_schedulable():
     system = encode(inst)
     scenario = next(enumerate_scenarios(system))
     x = solve_feasibility(substitute(system, scenario))
-    assert decode_schedule(inst, decode_scenario(inst, scenario), x) == [[0], [0]]
+    assert decode_solution(inst, decode_scenario(inst, scenario), x) == [[0], [0]]
 
 
 def test_decode_schedule_rejects_a_short_placement_under_optimize():
     # python -O strips asserts; the count-row check must not be one
     script = (
-        "from resilp.errors import ValidationError\n"
+        "from resilp.errors import ScenarioError, ValidationError\n"
         "from resilp.ilp import IntAssignment, VarId\n"
-        "from resilp.scheduling import SchedulingInstance, decode_schedule\n"
+        "from resilp.scheduling import SchedulingInstance, decode_solution\n"
         "inst = SchedulingInstance(2, ((1, 1),), (2,), 0, 2)\n"
         "x = IntAssignment({VarId(0, 'x[0,0]'): 0, VarId(1, 'x[0,1]'): 0})\n"
         "try:\n"
-        "    print(decode_schedule(inst, (0, 0), x))\n"
+        "    print(decode_solution(inst, (0, 0), x))\n"
         "except ValidationError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
@@ -143,9 +143,9 @@ def test_decode_schedule_rejects_a_short_placement_under_optimize():
 
 def test_decode_scenario_validation():
     inst = SchedulingInstance(2, ((1, 1),), (1,), 1, 2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ScenarioError):
         decode_scenario(inst, IntAssignment({VarId(0, "d0"): 1}))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ScenarioError):
         decode_scenario(
             inst,
             IntAssignment({VarId(0, "d0"): 1, VarId(1, "d1"): 1}),

@@ -86,8 +86,48 @@ def test_pattern_enumeration():
 
 
 def test_pattern_budget_raises():
-    with pytest.raises(BudgetError):
-        encode(_inst(7, [tuple(range(1, 8))], 0, 1, 1))
+    # the budget bounds the combinations tried, not the universe: one set
+    # over seven elements decides
+    inst = _inst(7, [tuple(range(1, 8))], 0, 1, 1)
+    assert check_resiliency(encode(inst)).resilient is rdscp_oracle(inst) is True
+    # all 63 non-empty subsets of six elements, covers of up to six sets:
+    # about 7.6e7 combinations
+    family = [
+        [e for e in range(1, 7) if mask >> (e - 1) & 1] for mask in range(1, 64)
+    ]
+    with pytest.raises(BudgetError, match="pattern search budget"):
+        encode(_inst(6, family, 0, 1, 6))
+
+
+def _reduction_sources():
+    """The instances built from the seeded sources of acceptance criteria
+    3 (hitting set) and 4 (3-dimensional matching)."""
+    for seed in range(50):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        sets = [
+            tuple(sorted(rng.sample(range(1, n + 1), 2)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        yield gen_from_hitting_set(n, sets, rng.randint(0, 2))
+    for seed in range(50):
+        rng = random.Random(seed)
+        n = rng.randint(1, 2)
+        triples = sorted(
+            {
+                (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
+                for _ in range(rng.randint(0, 4))
+            }
+        )
+        yield gen_from_3dm(n, triples, rng.randint(1, 2))
+
+
+def test_engine_agrees_with_the_oracle_on_every_reduction_source():
+    wide = 0
+    for built in _reduction_sources():
+        assert check_resiliency(encode(built)).resilient is rdscp_oracle(built)
+        wide += built.n > 6
+    assert wide == 76  # universes of more than six elements decide too
 
 
 def test_t_is_clamped_to_universe_size():
@@ -128,7 +168,7 @@ def test_decode_solution_single_cover():
     inst = _inst(1, [(1,)], 0, 1, 1)
     system = encode(inst)
     x = solve_feasibility(substitute(system, next(enumerate_scenarios(system))))
-    families = decode_solution(inst, x, ())
+    families = decode_solution(inst, (), x)
     assert families == ((0,),)
     validate_packing(inst, families)
 
@@ -137,7 +177,7 @@ def test_decode_solution_uses_distinct_copies():
     inst = _inst(1, [(1,), (1,)], 0, 2, 1)
     system = encode(inst)
     x = solve_feasibility(substitute(system, next(enumerate_scenarios(system))))
-    families = decode_solution(inst, x, ())
+    families = decode_solution(inst, (), x)
     assert sorted(i for fam in families for i in fam) == [0, 1]
     validate_packing(inst, families)
 
@@ -145,11 +185,11 @@ def test_decode_solution_uses_distinct_copies():
 def test_decode_solution_rejects_counts_that_break_the_system():
     inst = RdscpInstance(1, ((1,),), 0, 1, 1)
     with pytest.raises(ValidationError, match="outside its box"):
-        decode_solution(inst, IntAssignment({VarId(0, "x[1]"): 2}), ())
+        decode_solution(inst, (), IntAssignment({VarId(0, "x[1]"): 2}))
     with pytest.raises(ValidationError, match="fewer covers"):
-        decode_solution(inst, IntAssignment({VarId(0, "x[1]"): 0}), ())
+        decode_solution(inst, (), IntAssignment({VarId(0, "x[1]"): 0}))
     with pytest.raises(ValidationError, match="ran out of copies"):
-        decode_solution(inst, IntAssignment({VarId(0, "x[1]"): 1}), (0,))
+        decode_solution(inst, (0,), IntAssignment({VarId(0, "x[1]"): 1}))
 
 
 def test_full_pipeline_on_the_two_spare_example():
@@ -159,7 +199,7 @@ def test_full_pipeline_on_the_two_spare_example():
         removed = decode_scenario(inst, scenario)
         x = solve_feasibility(substitute(system, scenario))
         assert x is not None
-        families = decode_solution(inst, x, removed)
+        families = decode_solution(inst, removed, x)
         validate_packing(inst, families, removed)
 
 

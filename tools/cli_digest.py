@@ -3,11 +3,12 @@
 Runs ``resilp.cli.main`` in process on every perfbench document
 (``encode --kappa``, ``check --decode``, rcs also with
 ``--aggregate-distance``, and ``oracle``) and runs ``gen`` and
-``gen --verify`` on the reduction sources the tests use, then runs a few
-inputs that must be refused (``error_runs``).  Prints one line
-per run: its label, its exit code and short hashes of stdout and stderr,
-with ``wall_time`` values and the document path masked.  A refactor that
-should not change behaviour shows no difference:
+``gen --verify`` on the reduction sources the tests use, then a few other
+checks (``check_runs``) and a few inputs that must be refused
+(``error_runs``).  Prints one line per run: its label, its exit code and
+short hashes of stdout and stderr, with ``wall_time`` values, the
+document path and the location a warning points at masked.  A refactor
+that should not change behaviour shows no difference:
 
     python3 tools/cli_digest.py > before.txt    # at the parent commit
     python3 tools/cli_digest.py > after.txt     # at the change
@@ -33,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from resilp import cli  # noqa: E402
+from resilp import cli, setcover  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -48,14 +49,19 @@ def run(argv, path: str) -> str:
     """Exit code and masked output hashes of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.main(argv)
+    # a warning without the file and line it points at, which differ by checkout
+    notes = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
 
     def mask(text):
         return _WALL_TIME.sub(r"\1<t>", text.replace(path, "<path>"))
 
-    return f"exit={code} out={_hash(mask(out.getvalue()))} err={_hash(mask(err.getvalue()))}"
+    return (
+        f"exit={code} out={_hash(mask(out.getvalue()))} "
+        f"err={_hash(mask(notes + err.getvalue()))}"
+    )
 
 
 def document_runs(problem: str):
@@ -98,6 +104,26 @@ def gen_sources():
         )
         doc = {"n": n, "triples": [list(t) for t in triples], "k": rng.randint(1, 2)}
         yield f"3dm-seed{seed}", "3dm", doc
+
+
+def check_runs():
+    """(label, argv, document text) for checks outside the perfbench set:
+    ``check --decode`` on an rcs document whose columns are renamed on
+    reading, and ``check`` on two rdscp instances that ``gen`` builds with
+    universes of more than six elements."""
+    yield "rcs-renamed", ["check", "--problem", "rcs", "--decode"], json.dumps(
+        {"alphabet": ["a", "b"], "strings": ["bb", "ba", "ab"], "d": 1, "m": 1}
+    )
+    sources = {name: (reduction, doc) for name, reduction, doc in gen_sources()}
+    for name in ("3dm-single", "hs-seed0"):
+        reduction, doc = sources[name]
+        if reduction == "3dm":
+            built = setcover.gen_from_3dm(doc["n"], doc["triples"], doc["k"])
+        else:
+            built = setcover.gen_from_hitting_set(doc["n"], doc["sets"], doc["k"])
+        yield f"rdscp-{name}", ["check", "--problem", "rdscp"], json.dumps(
+            built.to_dict()
+        )
 
 
 def error_runs():
@@ -146,6 +172,8 @@ def main() -> int:
             for flags in ([], ["--verify"]):
                 argv = ["gen", "--reduction", reduction, *flags]
                 digest(" ".join(["gen", *flags, name]), argv, json.dumps(doc))
+        for name, argv, text in check_runs():
+            digest(f"check {name}", argv, text)
         for name, argv, text in error_runs():
             digest(f"error {name}", argv, text)
     return 0
