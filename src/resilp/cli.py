@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 # Only what every `check` runs is imported here: a module-level import
 # runs on every `resilp` start.  Problem modules, oracles and generators
 # load on the path that uses them, and are called as module attributes.
-from .engine import ResiliencySystem, check_resiliency
-from .errors import ArgumentError, ResilpError, ValidationError
+from .engine import check_resiliency
+from .errors import ResilpError, ValidationError
 from .jsonio import (
     assignment_to_dict,
     read_object,
@@ -29,9 +29,6 @@ from .jsonio import (
     resiliency_to_dict,
     verdict_to_dict,
 )
-
-PROBLEMS = ("rdscp", "rcs", "sched", "bribery", "policy")
-
 
 # ---------------------------------------------------------------- plumbing
 
@@ -90,53 +87,54 @@ def _emit(doc, fmt: str) -> None:
 # ------------------------------------------------------- problem dispatch
 
 
-def _load_instance(problem: str, doc):
-    """The instance, and the per-column renaming the rcs reader applied to
-    its strings (empty for every other problem)."""
-    if problem == "rdscp":
-        from . import setcover
-        return setcover.RdscpInstance.from_dict(doc), ()
-    if problem == "policy":
-        from . import setcover
-        return setcover.from_policy(setcover.AuthorizationPolicy.from_dict(doc)), ()
-    if problem == "rcs":
-        from . import closest_string
-        return closest_string.instance_from_dict(doc)
-    if problem == "sched":
-        from . import scheduling
-        return scheduling.SchedulingInstance.from_dict(doc), ()
-    if problem == "bribery":
-        from . import bribery
-        return bribery.BriberyInstance.from_dict(doc), ()
-    raise ArgumentError(f"unknown problem {problem!r}")
+# Each problem's module and its reader, which turns a document into the
+# instance and the per-column renaming the rcs reader applies to its
+# strings (empty for every other problem).  Readers take the module, so a
+# reader and the module's `encode` are looked up when called.
+_PROBLEMS = {
+    "rdscp": ("setcover", lambda m, doc: (m.RdscpInstance.from_dict(doc), ())),
+    "rcs": ("closest_string", lambda m, doc: m.instance_from_dict(doc)),
+    "sched": ("scheduling", lambda m, doc: (m.SchedulingInstance.from_dict(doc), ())),
+    "bribery": ("bribery", lambda m, doc: (m.BriberyInstance.from_dict(doc), ())),
+    "policy": (
+        "setcover",
+        lambda m, doc: (m.from_policy(m.AuthorizationPolicy.from_dict(doc)), ()),
+    ),
+}
+PROBLEMS = tuple(_PROBLEMS)
 
 
-_MODULES = {"rdscp": "setcover", "policy": "setcover", "rcs": "closest_string",
-            "sched": "scheduling", "bribery": "bribery"}
+def _load(problem: Optional[str], doc):
+    """``(module, instance, renaming, system)`` for a document of
+    ``problem``, or ``(None, None, (), system)`` for a raw system
+    (``problem`` is None).  A problem module is loaded here, on first use;
+    its instance is not encoded."""
+    if problem is None:
+        return None, None, (), resiliency_from_dict(doc)
+    name, read = _PROBLEMS[problem]
+    module = importlib.import_module(f".{name}", __package__)
+    return (module, *read(module, doc), None)
 
 
-def _module(problem: str):
-    """The module that encodes and decodes ``problem``, loaded on first use."""
-    return importlib.import_module(f".{_MODULES[problem]}", __package__)
+def _options(args) -> dict:
+    """rcs's distance contract, which its encoder, decoder and oracle share."""
+    if args.problem != "rcs":
+        return {}
+    return {"per_row_distance": not args.aggregate_distance}
 
 
-def _options(problem: str, args) -> dict:
-    """rcs's distance contract, which its encoder and decoder share."""
-    return {"per_row_distance": not args.aggregate_distance} if problem == "rcs" else {}
-
-
-def _encode_instance(problem: str, inst, args) -> ResiliencySystem:
-    return _module(problem).encode(inst, **_options(problem, args))
-
-
-def _oracle_answer(problem: str, inst, args) -> bool:
+def _reference(args, inst, system, *, exhaustive: bool = False) -> bool:
+    """The reference decider's answer: plain box enumeration of the system
+    for raw input or under ``exhaustive``, else the problem's own oracle."""
     from . import oracles
 
-    if problem in ("rdscp", "policy"):
+    if exhaustive or args.problem is None:
+        return oracles.forall_exists_oracle(system, max_points=args.max_points)
+    if args.problem in ("rdscp", "policy"):
         return oracles.rdscp_oracle(inst)
-    if problem == "rcs":
-        return oracles.rcs_oracle(inst, per_row_distance=not args.aggregate_distance)
-    if problem == "sched":
+    if args.problem == "rcs":
+        return oracles.rcs_oracle(inst, **_options(args))
+    if args.problem == "sched":
         return oracles.sched_oracle(inst, max_points=args.max_points)
     return oracles.bribery_oracle(inst)
 
@@ -184,7 +182,7 @@ def _solution_doc(problem: str, solution, renaming):
     return _moves_doc(*solution)
 
 
-def _decode_payload(problem: Optional[str], inst, renaming, verdict, args):
+def _decode_payload(args, module, inst, renaming, verdict):
     """The witness, or a resilient verdict's first scenario with the answer
     the check found for it, read back in the problem's terms."""
     if verdict.resilient:
@@ -198,16 +196,13 @@ def _decode_payload(problem: Optional[str], inst, renaming, verdict, args):
         "adversary": None,
         "solution": assignment_to_dict(x_values),
     }
-    if problem is None:
+    if module is None:
         return payload
-    module = _module(problem)
     adversary = module.decode_scenario(inst, scenario)
-    payload["adversary"] = _adversary_doc(problem, inst, adversary, renaming)
+    payload["adversary"] = _adversary_doc(args.problem, inst, adversary, renaming)
     if x_values is not None:
-        solution = module.decode_solution(
-            inst, adversary, x_values, **_options(problem, args)
-        )
-        payload["solution"] = _solution_doc(problem, solution, renaming)
+        solution = module.decode_solution(inst, adversary, x_values, **_options(args))
+        payload["solution"] = _solution_doc(args.problem, solution, renaming)
     return payload
 
 
@@ -215,9 +210,8 @@ def _decode_payload(problem: Optional[str], inst, renaming, verdict, args):
 
 
 def cmd_encode(args) -> int:
-    doc = _read_doc(args.instance)
-    inst, _ = _load_instance(args.problem, doc)
-    system = _encode_instance(args.problem, inst, args)
+    module, inst, _, _ = _load(args.problem, _read_doc(args.instance))
+    system = module.encode(inst, **_options(args))
     out = resiliency_to_dict(system)
     if args.kappa:
         blob = json.dumps(out, sort_keys=True)
@@ -230,14 +224,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc = _read_doc(args.instance)
-    if args.raw:
-        problem, inst, renaming = None, None, ()
-        system = resiliency_from_dict(doc)
-    else:
-        problem = args.problem
-        inst, renaming = _load_instance(problem, doc)
-        system = _encode_instance(problem, inst, args)
+    module, inst, renaming, system = _load(args.problem, _read_doc(args.instance))
+    if system is None:
+        system = module.encode(inst, **_options(args))
 
     start = time.perf_counter()
     verdict = check_resiliency(system, max_scenarios=args.max_scenarios)
@@ -251,12 +240,7 @@ def cmd_check(args) -> int:
     for key, wanted in (("oracle", args.oracle), ("exhaustive", args.exhaustive)):
         if not wanted:
             continue
-        if key == "oracle" and problem is not None:
-            answer = _oracle_answer(problem, inst, args)
-        else:
-            from . import oracles
-
-            answer = oracles.forall_exists_oracle(system, max_points=args.max_points)
+        answer = _reference(args, inst, system, exhaustive=key == "exhaustive")
         report[key] = answer
         if answer != verdict.resilient:
             print(
@@ -265,23 +249,16 @@ def cmd_check(args) -> int:
             )
             code = 3
     if args.decode:
-        report["decoded"] = _decode_payload(problem, inst, renaming, verdict, args)
+        report["decoded"] = _decode_payload(args, module, inst, renaming, verdict)
     _emit(report, args.format)
     return code
 
 
 def cmd_oracle(args) -> int:
-    from . import oracles
-
     doc = _read_doc(args.instance)
     start = time.perf_counter()
-    if args.raw:
-        answer = oracles.forall_exists_oracle(
-            resiliency_from_dict(doc), max_points=args.max_points
-        )
-    else:
-        inst, _ = _load_instance(args.problem, doc)
-        answer = _oracle_answer(args.problem, inst, args)
+    _, inst, _, system = _load(args.problem, doc)
+    answer = _reference(args, inst, system)
     report = {
         "answer": answer,
         "wall_time": round(time.perf_counter() - start, 6),

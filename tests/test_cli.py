@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end, in process."""
 
 import argparse
+import io
 import json
 import re
 import time
@@ -213,6 +214,62 @@ def test_aggregate_distance_reaches_encoder_and_oracle(tmp_path, capsys):
     code, out, err = run(capsys, *check, "--aggregate-distance", "--oracle")
     assert code == 1, err
     assert json.loads(out)["oracle"] is False
+
+
+def test_aggregate_decode_keeps_the_total_mismatch_within_d(tmp_path, capsys):
+    doc = {"alphabet": ["a", "b"], "strings": ["ab", "aa"], "d": 1, "m": 0}
+    code, out, err = run(
+        capsys, "check", "--problem", "rcs", write(tmp_path, doc),
+        "--decode", "--aggregate-distance",
+    )
+    assert code == 0, err
+    decoded = json.loads(out)["decoded"]
+    center = decoded["solution"]["center"]
+    corrupted = decoded["adversary"]["corrupted"]
+    assert corrupted == doc["strings"]
+    total = sum(a != b for row in corrupted for a, b in zip(center, row))
+    assert total <= doc["d"]
+
+
+def _raw_system(pinned_x):
+    # z may take 1, so x + z <= 1 has an answer for every z only when x is 0
+    return {
+        "variables": [
+            {"name": "x", "lower": pinned_x, "upper": pinned_x},
+            {"name": "z", "lower": 0, "upper": 1},
+        ],
+        "zvars": ["z"],
+        "rows": [{"coeffs": {"x": 1, "z": 1}, "rel": "<=", "rhs": 1}],
+    }
+
+
+@pytest.mark.parametrize("pinned_x, expected", [(0, 0), (1, 1)])
+def test_oracle_raw_answers_as_exhaustive_check(pinned_x, expected, tmp_path, capsys):
+    path = write(tmp_path, _raw_system(pinned_x))
+    code, out, err = run(capsys, "oracle", "--raw", path)
+    assert code == expected, err
+    check_code, check_out, _ = run(capsys, "check", "--raw", path, "--exhaustive")
+    assert check_code == expected
+    assert json.loads(out)["answer"] is json.loads(check_out)["exhaustive"]
+
+
+@pytest.mark.parametrize("doc", [SCHED_YES, SCHED_NO])
+def test_encoded_system_reads_from_stdin(doc, tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, doc)
+    direct_code, direct_out, _ = run(capsys, "check", "--problem", "sched", path)
+    resilient = json.loads(direct_out)["verdict"]["resilient"]
+    code, system_text, _ = run(capsys, "encode", "--problem", "sched", path)
+    assert code == 0
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(system_text))
+    code, out, err = run(capsys, "check", "--raw", "-")
+    assert code == direct_code, err
+    assert json.loads(out)["verdict"]["resilient"] is resilient
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(system_text))
+    code, out, err = run(capsys, "oracle", "--raw", "-")
+    assert code == direct_code, err
+    assert json.loads(out)["answer"] is resilient
 
 
 def test_check_raw_wide_system_exits_0(tmp_path, capsys):

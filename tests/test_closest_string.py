@@ -2,6 +2,7 @@
 closest-string encoder."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -413,3 +414,53 @@ def test_decode_solution_rejects_counts_that_miss_the_census():
     extra = IntAssignment({VarId(0, "x[a,a]"): 2, VarId(1, "x[a,b]"): 0})
     with pytest.raises(ValidationError, match="more answers"):
         decode_solution(inst, inst.matrix, extra)
+
+
+@pytest.mark.parametrize(
+    "alphabet, strings, message",
+    [
+        ([], ["a"], "alphabet must not be empty"),
+        (["a", "bc"], ["a"], "must be one character: 'bc'"),
+        (["a", "b"], [], "need at least one string"),
+        (["a", "b"], ["", ""], "strings must be non-empty"),
+        (["a", "b"], ["ab", "ac"], "symbols outside the alphabet: ['c']"),
+    ],
+    ids=["empty-alphabet", "long-symbol", "no-strings", "empty-strings", "stray-symbol"],
+)
+def test_bad_matrices_are_named(alphabet, strings, message):
+    doc = {"alphabet": alphabet, "strings": strings, "d": 0, "m": 0}
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        instance_from_dict(doc)
+
+
+def test_denormalize_rows_refuses_a_length_mismatch():
+    with pytest.raises(ValidationError, match="does not match the bijections"):
+        denormalize_rows(("ab",), ({"a": "a", "b": "b"},))
+
+
+@pytest.mark.parametrize(
+    "corrupted, counts, message",
+    [
+        (("b",), {"x[a,a]": 1, "x[a,b]": 0}, "unknown column type"),
+        (("a",), {"x[a,a]": -1, "x[a,b]": 0}, "negative symbol count"),
+    ],
+    ids=["unknown-type", "negative-count"],
+)
+def test_decode_solution_refuses_what_no_encoding_yields(corrupted, counts, message):
+    inst = RcsInstance(_matrix("a"), 0, 0)
+    x = IntAssignment({VarId(i, name): v for i, (name, v) in enumerate(counts.items())})
+    with pytest.raises(ValidationError, match=message):
+        decode_solution(inst, _matrix(*corrupted), x)
+
+
+@pytest.mark.parametrize(
+    "per_row_distance, message",
+    [(True, "center misses string 0 by 1 > 0"), (False, "exceeds the aggregate bound 0")],
+    ids=["per-row", "aggregate"],
+)
+def test_decode_solution_refuses_a_center_past_the_bound(per_row_distance, message):
+    # the one column answers b against a, one mismatch over a bound of 0
+    inst = RcsInstance(_matrix("a"), 0, 0)
+    x = IntAssignment({VarId(0, "x[a,a]"): 0, VarId(1, "x[a,b]"): 1})
+    with pytest.raises(ValidationError, match=message):
+        decode_solution(inst, inst.matrix, x, per_row_distance=per_row_distance)

@@ -452,6 +452,16 @@ def test_block_membership_is_validated():
         ResiliencySystem(((VarId(0, "x"), (0, 1)),), (), (), (), ())
 
 
+
+def test_system_names_a_shared_name_and_a_stray_mixed_row():
+    x = make_vars([("x", 0, 1)])
+    z = make_vars([("z", 0, 1)])
+    with pytest.raises(ValidationError, match="duplicate variable name: 'x'"):
+        ResiliencySystem(x, make_vars([("x", 0, 1)]), (), (), ())
+    stray = LinearRow({x[0][0]: 1, VarId(5, "ghost"): 1}, Rel.LEQ, 1)
+    with pytest.raises(ValidationError, match="xz-row 0 references unknown variables"):
+        ResiliencySystem(x, z, (), (stray,), ())
+
 def test_exhaustive_mode_collects_every_failure():
     sys_ = _rsys(
         [("x", 0, 1)],

@@ -461,6 +461,13 @@ def test_row_rejects_float_coefficients():
         LinearRow({x: 1}, Rel.LEQ, 0.5)
 
 
+
+def test_row_and_assignment_name_a_bad_key_or_value():
+    with pytest.raises(ValidationError, match="coefficient key must be a VarId: 'x'"):
+        LinearRow({"x": 1}, Rel.LEQ, 1)
+    with pytest.raises(ValidationError, match="assignment value must be an integer: 1.0"):
+        IntAssignment({VarId(0, "x"): 1.0})
+
 def test_system_validates_density_and_names():
     with pytest.raises(ValidationError):
         LinearSystem(((VarId(1, "x"), VarBounds(0, 1)),), ())

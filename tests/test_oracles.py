@@ -134,6 +134,11 @@ def test_matching_oracle():
     assert matching_3dm_oracle(2, triples, 0) is True
 
 
+
+def test_matching_oracle_refuses_a_negative_size():
+    with pytest.raises(ValidationError, match="matching size must be >= 0"):
+        matching_3dm_oracle(1, ((1, 1, 1),), -1)
+
 def test_source_oracles_refuse_a_search_past_their_budget():
     # a 3DM walk as deep as 1,500 chosen triples used to end in RecursionError
     diagonal = [(i, i, i) for i in range(1, 1501)]

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import product
@@ -172,6 +173,34 @@ def test_instance_validation_and_round_trip():
         SchedulingInstance(2, ((1, 2), (0, 3)), {1, 2}, 1, 5)
     with pytest.raises(ValidationError):
         SchedulingInstance.from_dict({"machines": 1})
+
+
+def test_instance_needs_a_job_type():
+    with pytest.raises(ValidationError, match="need at least one job type"):
+        SchedulingInstance(1, (), (), 0, 1)
+
+
+@pytest.mark.parametrize("delays", [(-1, 0), (2, 0)], ids=["negative", "past-K"])
+def test_decode_scenario_refuses_a_delay_outside_the_box(delays):
+    inst = SchedulingInstance(2, ((1, 1),), (1,), 1, 2)
+    scenario = IntAssignment({VarId(i, f"d{i}"): d for i, d in enumerate(delays)})
+    with pytest.raises(ScenarioError, match=re.escape("delay outside [0, K]")):
+        decode_scenario(inst, scenario)
+
+
+@pytest.mark.parametrize(
+    "delays, placed, message",
+    [
+        ((0, 0), (1, 0), "type 0: placed 1 of 2 jobs"),
+        ((1, 0), (2, 0), "machine 0 finishes at 3 > 2"),
+    ],
+    ids=["misplaced-jobs", "late-machine"],
+)
+def test_decode_solution_refuses_a_breach(delays, placed, message):
+    inst = SchedulingInstance(2, ((1, 1),), (2,), 1, 2)
+    x = IntAssignment({VarId(i, f"x[0,{i}]"): n for i, n in enumerate(placed)})
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        decode_solution(inst, delays, x)
 
 
 def _random_instance(rng):

@@ -62,6 +62,15 @@ def test_two_spare_covers_survive_one_removal():
     assert verdict.scenarios_checked == 4
 
 
+
+def test_empty_family_has_no_budget_row():
+    # no sets means no z variable, so the removal budget row would be empty
+    inst = _inst(1, [], 1, 1, 1)
+    system = encode(inst)
+    assert system.z_vars == () and system.rows_z == ()
+    assert not check_resiliency(system).resilient
+    assert rdscp_oracle(inst) is False
+
 def test_boxes_follow_budget_and_multiplicity():
     inst = _inst(2, [(1, 2), (1, 2), (1, 2), (1,)], 2, 1, 2)
     system = encode(inst)
@@ -164,6 +173,13 @@ def test_decode_scenario_rejects_bad_assignments():
         decode_scenario(inst, IntAssignment({VarId(0, "ghost"): 0}))
 
 
+
+def test_decode_scenario_refuses_removals_over_budget():
+    inst = _inst(2, [(1,), (2,)], 1, 1, 2)
+    both = IntAssignment({VarId(0, "z[1]"): 1, VarId(1, "z[2]"): 1})
+    with pytest.raises(ScenarioError, match="2 removals exceed the budget 1"):
+        decode_scenario(inst, both)
+
 def test_decode_solution_single_cover():
     inst = _inst(1, [(1,)], 0, 1, 1)
     system = encode(inst)
@@ -192,6 +208,18 @@ def test_decode_solution_rejects_counts_that_break_the_system():
         decode_solution(inst, (0,), IntAssignment({VarId(0, "x[1]"): 1}))
 
 
+
+def test_decode_solution_stops_at_d_covers():
+    # every pattern count is within its box, but together they ask for more
+    # covers than d; the first d are realized and the rest left unused
+    inst = _inst(2, [(1, 2), (1,), (2,)], 0, 1, 2)
+    system = encode(inst)
+    x = IntAssignment({vid: 1 for vid, _ in system.x_vars})
+    assert len(system.x_vars) > inst.d
+    families = decode_solution(inst, (), x)
+    assert families == ((0,),)
+    validate_packing(inst, families)
+
 def test_full_pipeline_on_the_two_spare_example():
     inst = _inst(2, [(1,), (2,), (1, 2), (1, 2)], 1, 2, 2)
     system = encode(inst)
@@ -214,6 +242,21 @@ def test_validator_catches_bad_packings():
     with pytest.raises(ValidationError):
         validate_packing(_inst(2, [(1,), (2,)], 0, 1, 1), [(0, 1)])  # t cap
 
+
+
+@pytest.mark.parametrize(
+    "families, message",
+    [
+        ([(2, 2), (0, 1)], "cover repeats a copy"),
+        ([(2,), (3,)], "no copy with index 3"),
+        ([(2,), (2,)], "copy 2 used by two covers"),
+    ],
+    ids=["repeated-copy", "bad-index", "copy-used-twice"],
+)
+def test_validator_names_each_breach(families, message):
+    inst = _inst(2, [(1,), (2,), (1, 2)], 0, 2, 2)
+    with pytest.raises(ValidationError, match=message):
+        validate_packing(inst, families)
 
 # --- instance validation -----------------------------------------------------
 
@@ -375,6 +418,22 @@ def test_policy_json_round_trip_and_validation():
                 **{**fields, name: set(fields[name])}, s=0, d=1, t=1
             )
 
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"vr": [("a", "r", "r")]}, "vr must be a list of \\[user, resource\\] pairs"),
+        ({"users": ["a", "a"]}, "duplicate users"),
+        ({"resources": ["r", "r"]}, "duplicate resources"),
+        ({"p": ["r", "r"]}, "duplicate protected resources"),
+    ],
+    ids=["vr-triple", "duplicate-users", "duplicate-resources", "duplicate-p"],
+)
+def test_policy_names_each_bad_field(changes, message):
+    fields = dict(users=["a", "b"], resources=["r"], vr=[("a", "r")], p=["r"])
+    with pytest.raises(ValidationError, match=message):
+        AuthorizationPolicy(**{**fields, **changes}, s=0, d=1, t=1)
 
 # --- generators ---------------------------------------------------------------
 

@@ -4,10 +4,12 @@ Runs ``resilp.cli.main`` in process on every perfbench document
 (``encode --kappa``, ``check --decode``, rcs also with
 ``--aggregate-distance``, and ``oracle``) and runs ``gen`` and
 ``gen --verify`` on the reduction sources the tests use, then a few other
-checks (``check_runs``) and a few inputs that must be refused
-(``error_runs``).  Prints one line per run: its label, its exit code and
-short hashes of stdout and stderr, with ``wall_time`` values, the
-document path and the location a warning points at masked.  A refactor
+checks (``check_runs``), ``check --raw -`` and ``oracle --raw -`` on an
+encoded system fed on standard input (``stdin_runs``) and a few inputs
+that must be refused (``error_runs``).  Prints one line per run: its
+label, its exit code and short hashes of stdout and stderr, with
+``wall_time`` values, the document path and the location a warning
+points at masked.  A refactor
 that should not change behaviour shows no difference:
 
     python3 tools/cli_digest.py > before.txt    # at the parent commit
@@ -45,23 +47,32 @@ def _hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run(argv, path: str) -> str:
-    """Exit code and masked output hashes of one in-process CLI call."""
+def call(argv, stdin: str = ""):
+    """Exit code, stdout and stderr of one in-process CLI call; stderr is
+    preceded by every warning the call raised."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = cli.main(argv)
+            saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+            try:
+                code = cli.main(argv)
+            finally:
+                sys.stdin = saved
     # a warning without the file and line it points at, which differ by checkout
     notes = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), notes + err.getvalue()
+
+
+def run(argv, path: str, stdin: str = "") -> str:
+    """Exit code and masked output hashes of one in-process CLI call that
+    reads ``stdin`` as its standard input."""
+    code, out, err = call(argv, stdin)
 
     def mask(text):
         return _WALL_TIME.sub(r"\1<t>", text.replace(path, "<path>"))
 
-    return (
-        f"exit={code} out={_hash(mask(out.getvalue()))} "
-        f"err={_hash(mask(notes + err.getvalue()))}"
-    )
+    return f"exit={code} out={_hash(mask(out))} err={_hash(mask(err))}"
 
 
 def document_runs(problem: str):
@@ -126,6 +137,18 @@ def check_runs():
         )
 
 
+def stdin_runs():
+    """(label, argv, standard input) for the raw commands reading ``-``:
+    ``check --raw -`` and ``oracle --raw -`` on what ``encode --problem
+    sched -`` prints for the perfbench document ``sched-001``, whose box is
+    small enough for the oracle's plain enumeration."""
+    doc = next(doc for iid, _, doc in workloads.all_instances() if iid == "sched-001")
+    code, system, err = call(["encode", "--problem", "sched", "-"], json.dumps(doc))
+    assert code == 0, err
+    yield "check-raw", ["check", "--raw", "-"], system
+    yield "oracle-raw", ["oracle", "--raw", "-"], system
+
+
 def error_runs():
     """(label, argv, document text) for inputs the CLI must refuse: a null
     bound, a bare-integer string coefficient, nesting deeper than the JSON
@@ -174,6 +197,8 @@ def main() -> int:
                 digest(" ".join(["gen", *flags, name]), argv, json.dumps(doc))
         for name, argv, text in check_runs():
             digest(f"check {name}", argv, text)
+        for name, argv, text in stdin_runs():
+            print(f"stdin {name} {run(argv, path, stdin=text)}", flush=True)
         for name, argv, text in error_runs():
             digest(f"error {name}", argv, text)
     return 0
