@@ -10,13 +10,12 @@ winner under the given scoring vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Sequence, Tuple
 
 from .engine import ResiliencySystem
 from .errors import ArgumentError, BudgetError, ScenarioError, ValidationError
-from .ilp import IntAssignment, LinearRow, Rel, read_transfer, transfer
+from .ilp import IntAssignment, LinearRow, Rel, Value, read_transfer, transfer
 from .jsonio import read_object, require_int, require_ints, require_seq
 
 
@@ -45,8 +44,7 @@ def voter_types(m: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(permutations(range(1, m + 1)))
 
 
-@dataclass(frozen=True)
-class Election:
+class Election(Value):
     """Candidate count, voter census by preference order, scoring vector.
 
     ``census`` maps an order to how many voters hold it; orders absent
@@ -56,21 +54,19 @@ class Election:
     candidate at rank ``r`` and must be nonincreasing.
     """
 
-    m: int
-    census: Dict[Tuple[int, ...], int]
-    scoring: Tuple[int, ...]
+    _fields = ("m", "census", "scoring")
 
-    def __post_init__(self):
-        m = require_int(self.m, "candidate count", 1)
-        scoring = require_ints(self.scoring, "scoring entries")
+    def __init__(
+        self, m: int, census: Dict[Tuple[int, ...], int], scoring: Tuple[int, ...]
+    ):
+        require_int(m, "candidate count", 1)
+        scoring = require_ints(scoring, "scoring entries")
         if len(scoring) != m:
             raise ValidationError("scoring vector needs one entry per candidate")
         if any(scoring[r] < scoring[r + 1] for r in range(m - 1)):
             raise ValidationError("scoring vector must be nonincreasing")
         votes = (
-            self.census.items()
-            if isinstance(self.census, dict)
-            else require_seq(self.census, "votes")
+            census.items() if isinstance(census, dict) else require_seq(census, "votes")
         )
         full = list(range(1, m + 1))
         clean = {}
@@ -82,8 +78,9 @@ class Election:
             if sorted(order) != full:
                 raise ValidationError(f"not a permutation of 1..{m}: {order}")
             clean[order] = clean.get(order, 0) + require_int(count, "voter counts", 0)
-        object.__setattr__(self, "scoring", scoring)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "census", clean)
+        object.__setattr__(self, "scoring", scoring)
 
     @property
     def voters(self) -> int:
@@ -104,15 +101,15 @@ class Election:
         return points
 
 
-@dataclass(frozen=True)
-class BriberyInstance:
-    election: Election
-    ba: int
-    b: int
+class BriberyInstance(Value):
+    _fields = ("election", "ba", "b")
 
-    def __post_init__(self):
-        require_int(self.ba, "ba", 0)
-        require_int(self.b, "b", 0)
+    def __init__(self, election: Election, ba: int, b: int):
+        require_int(ba, "ba", 0)
+        require_int(b, "b", 0)
+        object.__setattr__(self, "election", election)
+        object.__setattr__(self, "ba", ba)
+        object.__setattr__(self, "b", b)
 
     @staticmethod
     def from_dict(doc) -> "BriberyInstance":

@@ -104,23 +104,28 @@ _PROBLEMS = {
 PROBLEMS = tuple(_PROBLEMS)
 
 
-def _load(problem: Optional[str], doc):
+def _load(args, doc):
     """``(module, instance, renaming, system)`` for a document of
-    ``problem``, or ``(None, None, (), system)`` for a raw system
-    (``problem`` is None).  A problem module is loaded here, on first use;
-    its instance is not encoded."""
-    if problem is None:
+    ``args.problem``, or ``(None, None, (), system)`` for a raw system
+    (``args.problem`` is None).  A problem module is loaded here, on first
+    use; its instance is not encoded.  An option the input does not take
+    is refused first."""
+    _options(args)
+    if args.problem is None:
         return None, None, (), resiliency_from_dict(doc)
-    name, read = _PROBLEMS[problem]
+    name, read = _PROBLEMS[args.problem]
     module = importlib.import_module(f".{name}", __package__)
     return (module, *read(module, doc), None)
 
 
 def _options(args) -> dict:
-    """rcs's distance contract, which its encoder, decoder and oracle share."""
-    if args.problem != "rcs":
-        return {}
-    return {"per_row_distance": not args.aggregate_distance}
+    """rcs's distance contract, which its encoder, decoder and oracle share;
+    ``--aggregate-distance`` on any other input is a ValidationError."""
+    if args.problem == "rcs":
+        return {"per_row_distance": not args.aggregate_distance}
+    if args.aggregate_distance:
+        raise ValidationError("--aggregate-distance applies to --problem rcs only")
+    return {}
 
 
 def _reference(args, inst, system, *, exhaustive: bool = False) -> bool:
@@ -210,7 +215,7 @@ def _decode_payload(args, module, inst, renaming, verdict):
 
 
 def cmd_encode(args) -> int:
-    module, inst, _, _ = _load(args.problem, _read_doc(args.instance))
+    module, inst, _, _ = _load(args, _read_doc(args.instance))
     system = module.encode(inst, **_options(args))
     out = resiliency_to_dict(system)
     if args.kappa:
@@ -224,7 +229,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_check(args) -> int:
-    module, inst, renaming, system = _load(args.problem, _read_doc(args.instance))
+    module, inst, renaming, system = _load(args, _read_doc(args.instance))
     if system is None:
         system = module.encode(inst, **_options(args))
 
@@ -257,7 +262,7 @@ def cmd_check(args) -> int:
 def cmd_oracle(args) -> int:
     doc = _read_doc(args.instance)
     start = time.perf_counter()
-    _, inst, _, system = _load(args.problem, doc)
+    _, inst, _, system = _load(args, doc)
     answer = _reference(args, inst, system)
     report = {
         "answer": answer,
@@ -277,15 +282,21 @@ def cmd_gen(args) -> int:
         ("n", "sets" if hitting else "triples", "k"),
         f"{args.reduction} source",
     )
-    generate = setcover.gen_from_hitting_set if hitting else setcover.gen_from_3dm
+    size, generate = (
+        (setcover.family_size_from_hitting_set, setcover.gen_from_hitting_set)
+        if hitting
+        else (setcover.family_size_from_3dm, setcover.gen_from_3dm)
+    )
+    if args.verify:
+        from . import oracles
+
+        # the instance's oracle would refuse a large family, so refuse it
+        # before building the instance or searching the source
+        oracles.check_family_size(size(n, family, k))
     inst = generate(n, family, k)
 
     code = 0
     if args.verify:
-        from . import oracles
-
-        # the instance's oracle first: its family budget refuses a large
-        # source before a source oracle counts its picks
         got = oracles.rdscp_oracle(inst)
         if hitting:
             expected = not oracles.hitting_set_oracle(n, family, k)
@@ -374,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="attach a human-readable witness or sample solution")
     chk.add_argument("--max-scenarios", type=int, default=1_000_000)
     chk.add_argument("--max-points", type=int, default=10_000_000)
-    chk.add_argument("--aggregate-distance", action="store_true")
+    chk.add_argument("--aggregate-distance", action="store_true",
+                     help="rcs only: one total-distance row instead of per-row rows")
     chk.set_defaults(func=cmd_check)
 
     orc = sub.add_parser("oracle", parents=[common],
@@ -384,7 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--raw", action="store_true")
     orc.add_argument("instance", help="JSON file, or - for stdin")
     orc.add_argument("--max-points", type=int, default=10_000_000)
-    orc.add_argument("--aggregate-distance", action="store_true")
+    orc.add_argument("--aggregate-distance", action="store_true",
+                     help="rcs only: one total distance instead of one per string")
     orc.set_defaults(func=cmd_oracle)
 
     gen = sub.add_parser("gen", parents=[common],

@@ -18,7 +18,6 @@ center string answers with each symbol.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import islice, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,18 +28,25 @@ from .errors import (
     ScenarioError,
     ValidationError,
 )
-from .ilp import IntAssignment, LinearRow, Rel, make_vars, read_transfer, transfer
+from .ilp import (
+    IntAssignment,
+    LinearRow,
+    Rel,
+    Value,
+    make_vars,
+    read_transfer,
+    transfer,
+)
 from .jsonio import read_object, require_int, require_seq
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Value):
     """Ordered distinct single-character symbols."""
 
-    symbols: Tuple[str, ...]
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        symbols = require_seq(self.symbols, "alphabet", str)
+    def __init__(self, symbols: Tuple[str, ...]):
+        symbols = require_seq(symbols, "alphabet", str)
         if not symbols:
             raise ValidationError("alphabet must not be empty")
         for sym in symbols:
@@ -54,21 +60,19 @@ class Alphabet:
         return self.symbols.index(sym)
 
 
-@dataclass(frozen=True)
-class StringMatrix:
+class StringMatrix(Value):
     """k strings of equal length L over a fixed alphabet (k rows)."""
 
-    alphabet: Alphabet
-    rows: Tuple[str, ...]
+    _fields = ("alphabet", "rows")
 
-    def __post_init__(self):
-        rows = require_seq(self.rows, "strings", str)
+    def __init__(self, alphabet: Alphabet, rows: Tuple[str, ...]):
+        rows = require_seq(rows, "strings", str)
         if not rows:
             raise ValidationError("need at least one string")
         length = len(rows[0])
         if length < 1:
             raise ValidationError("strings must be non-empty")
-        allowed = set(self.alphabet.symbols)
+        allowed = set(alphabet.symbols)
         for row in rows:
             if len(row) != length:
                 raise ValidationError("strings must share one length")
@@ -77,6 +81,7 @@ class StringMatrix:
                 raise ValidationError(
                     f"symbols outside the alphabet: {sorted(stray)}"
                 )
+        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -142,12 +147,14 @@ def denormalize_rows(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ColumnType:
+class ColumnType(Value):
     """One distinct normalized column, with its multiplicity in the input."""
 
-    cells: Tuple[str, ...]
-    count: int
+    _fields = ("cells", "count")
+
+    def __init__(self, cells: Tuple[str, ...], count: int):
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "count", count)
 
 
 def column_types(matrix: StringMatrix) -> Tuple[ColumnType, ...]:
@@ -190,19 +197,19 @@ def mismatch_count(cells: Sequence[str], symbol: str) -> int:
     return sum(1 for x in cells if x != symbol)
 
 
-@dataclass(frozen=True)
-class RcsInstance:
+class RcsInstance(Value):
     """A normalized matrix, the center-distance bound ``d``, and the
     adversary's total cell-change budget ``m``."""
 
-    matrix: StringMatrix
-    d: int
-    m: int
+    _fields = ("matrix", "d", "m")
 
-    def __post_init__(self):
-        require_int(self.d, "distance bound d", 0)
-        require_int(self.m, "change budget m", 0, self.matrix.k * self.matrix.length)
-        column_types(self.matrix)  # raises NormalizationError when not normalized
+    def __init__(self, matrix: StringMatrix, d: int, m: int):
+        require_int(d, "distance bound d", 0)
+        require_int(m, "change budget m", 0, matrix.k * matrix.length)
+        column_types(matrix)  # raises NormalizationError when not normalized
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
 
     def to_dict(self) -> dict:
         return {

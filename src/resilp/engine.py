@@ -28,7 +28,6 @@ values; variable names stay unique across the whole system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Tuple
@@ -38,6 +37,7 @@ from .ilp import (
     IntAssignment,
     LinearRow,
     LinearSystem,
+    Value,
     VarBounds,
     VarId,
     _int_row,
@@ -49,35 +49,38 @@ from .ilp import (
 )
 
 
-@dataclass(frozen=True)
-class ResiliencySystem:
+class ResiliencySystem(Value):
     """A linear system partitioned for the "for every z there is an x" game."""
 
-    x_vars: Tuple[Tuple[VarId, VarBounds], ...]
-    z_vars: Tuple[Tuple[VarId, VarBounds], ...]
-    rows_x: Tuple[LinearRow, ...]
-    rows_xz: Tuple[LinearRow, ...]
-    rows_z: Tuple[LinearRow, ...]
+    _fields = ("x_vars", "z_vars", "rows_x", "rows_xz", "rows_z")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        x_vars: Tuple[Tuple[VarId, VarBounds], ...],
+        z_vars: Tuple[Tuple[VarId, VarBounds], ...],
+        rows_x: Tuple[LinearRow, ...],
+        rows_xz: Tuple[LinearRow, ...],
+        rows_z: Tuple[LinearRow, ...],
+    ):
         # Each block is its own dense index space, checked as a system of
         # its own rows; names are global, and mixed rows read both blocks.
-        xsys = LinearSystem(self.x_vars, self.rows_x)
-        zsys = LinearSystem(self.z_vars, self.rows_z)
+        xsys = LinearSystem(x_vars, rows_x)
+        zsys = LinearSystem(z_vars, rows_z)
+        rows_xz = tuple(rows_xz)
+        xnames = {vid.name for vid, _ in xsys.variables}
+        for vid, _ in zsys.variables:
+            if vid.name in xnames:
+                raise ValidationError(f"duplicate variable name: {vid.name!r}")
+        known = {vid for vid, _ in xsys.variables + zsys.variables}
+        for r, row in enumerate(rows_xz):
+            if not row.support() <= known:
+                raise ValidationError(f"xz-row {r} references unknown variables")
         object.__setattr__(self, "x_vars", xsys.variables)
         object.__setattr__(self, "z_vars", zsys.variables)
         object.__setattr__(self, "rows_x", xsys.rows)
-        object.__setattr__(self, "rows_xz", tuple(self.rows_xz))
+        object.__setattr__(self, "rows_xz", rows_xz)
         object.__setattr__(self, "rows_z", zsys.rows)
         object.__setattr__(self, "_zsys", zsys)
-        xnames = {vid.name for vid, _ in self.x_vars}
-        for vid, _ in self.z_vars:
-            if vid.name in xnames:
-                raise ValidationError(f"duplicate variable name: {vid.name!r}")
-        known = {vid for vid, _ in self.x_vars + self.z_vars}
-        for r, row in enumerate(self.rows_xz):
-            if not row.support() <= known:
-                raise ValidationError(f"xz-row {r} references unknown variables")
 
     @property
     def kappa(self) -> int:
@@ -149,8 +152,7 @@ class _Kernel:
         return None
 
 
-@dataclass(frozen=True)
-class ResiliencyVerdict:
+class ResiliencyVerdict(Value):
     """Outcome of a resiliency check.
 
     ``witness_z`` is the lexicographically first failing scenario when not
@@ -161,10 +163,19 @@ class ResiliencyVerdict:
     scenario has no answer), or ``None`` when there is no scenario.
     """
 
-    resilient: bool
-    witness_z: Optional[IntAssignment]
-    scenarios_checked: int
-    sample: Optional[Tuple[IntAssignment, Optional[IntAssignment]]] = None
+    _fields = ("resilient", "witness_z", "scenarios_checked", "sample")
+
+    def __init__(
+        self,
+        resilient: bool,
+        witness_z: Optional[IntAssignment],
+        scenarios_checked: int,
+        sample: Optional[Tuple[IntAssignment, Optional[IntAssignment]]] = None,
+    ):
+        object.__setattr__(self, "resilient", resilient)
+        object.__setattr__(self, "witness_z", witness_z)
+        object.__setattr__(self, "scenarios_checked", scenarios_checked)
+        object.__setattr__(self, "sample", sample)
 
 
 def enumerate_scenarios(system: ResiliencySystem) -> Iterator[IntAssignment]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -78,27 +77,96 @@ class Rel(str, Enum):
     EQ = "="
 
 
-@dataclass(frozen=True, order=True)
-class VarId:
-    """A variable: dense index within its system plus a unique name."""
+class Value:
+    """Base of resilp's immutable value classes.
 
-    index: int
-    name: str
+    A subclass names its fields, in order, in ``_fields``; its
+    ``__init__`` checks its arguments and stores each field once with
+    ``object.__setattr__``, which keeps the fields where CPython reads
+    them fastest.  An instance equals only an instance of the same class
+    with equal fields, hashes its fields (so a dict field leaves it
+    unhashable), prints as ``Name(field=value, ...)`` and refuses to have
+    an attribute assigned or deleted.  The standard library's class
+    decorator would give the same behaviour, but it costs every ``resilp``
+    start an import of ``inspect`` and an ``exec`` per decorated class.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class VarBounds:
+class VarId(Value):
+    """A variable: dense index within its system plus a unique name,
+    ordered by ``(index, name)``."""
+
+    _fields = ("index", "name")
+
+    def __init__(self, index: int, name: str):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index, self.name) == (other.index, other.name)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.index, self.name))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index, self.name) < (other.index, other.name)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index, self.name) <= (other.index, other.name)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index, self.name) > (other.index, other.name)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index, self.name) >= (other.index, other.name)
+        return NotImplemented
+
+
+class VarBounds(Value):
     """Inclusive integer box for one variable: two ints, lower <= upper."""
 
-    lower: int
-    upper: int
+    _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        for side in (self.lower, self.upper):
+    def __init__(self, lower: int, upper: int):
+        for side in (lower, upper):
             if type(side) is not int:
                 raise ValidationError(f"bound must be an integer: {side!r}")
-        if self.lower > self.upper:
-            raise ValidationError(f"empty box: [{self.lower}, {self.upper}]")
+        if lower > upper:
+            raise ValidationError(f"empty box: [{lower}, {upper}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 def _coerce_rational(value) -> Fraction:
@@ -109,8 +177,7 @@ def _coerce_rational(value) -> Fraction:
     raise ValidationError(f"coefficient must be an int or Fraction, got {value!r}")
 
 
-@dataclass(frozen=True)
-class LinearRow:
+class LinearRow(Value):
     """One sparse constraint: ``sum(coeffs[v] * a[v]) rel rhs``.
 
     The key set of ``coeffs`` is the row's support, zero coefficients
@@ -118,36 +185,36 @@ class LinearRow:
     variables a row mentions, not on which coefficients are nonzero.
     """
 
-    coeffs: Mapping[VarId, Fraction]
-    rel: Rel
-    rhs: Fraction
+    _fields = ("coeffs", "rel", "rhs")
 
-    def __post_init__(self):
+    def __init__(self, coeffs: Mapping[VarId, Fraction], rel: Rel, rhs: Fraction):
         clean = {}
-        for vid, c in dict(self.coeffs).items():
+        for vid, c in dict(coeffs).items():
             if not isinstance(vid, VarId):
                 raise ValidationError(f"coefficient key must be a VarId: {vid!r}")
             clean[vid] = _coerce_rational(c)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "rel", Rel(self.rel))
-        object.__setattr__(self, "rhs", _coerce_rational(self.rhs))
+        object.__setattr__(self, "rel", Rel(rel))
+        object.__setattr__(self, "rhs", _coerce_rational(rhs))
 
     def support(self) -> frozenset:
         return frozenset(self.coeffs)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Value):
     """A conjunction of rows over box-bounded integer variables."""
 
-    variables: Tuple[Tuple[VarId, VarBounds], ...]
-    rows: Tuple[LinearRow, ...]
+    _fields = ("variables", "rows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(tuple(v) for v in self.variables))
-        object.__setattr__(self, "rows", tuple(self.rows))
+    def __init__(
+        self,
+        variables: Tuple[Tuple[VarId, VarBounds], ...],
+        rows: Tuple[LinearRow, ...],
+    ):
+        variables = tuple(tuple(v) for v in variables)
+        rows = tuple(rows)
         names = set()
-        for i, (vid, bounds) in enumerate(self.variables):
+        for i, (vid, bounds) in enumerate(variables):
             if not isinstance(vid, VarId) or not isinstance(bounds, VarBounds):
                 raise ValidationError("variables must be (VarId, VarBounds) pairs")
             if vid.index != i:
@@ -158,12 +225,14 @@ class LinearSystem:
             if vid.name in names:
                 raise ValidationError(f"duplicate variable name: {vid.name!r}")
             names.add(vid.name)
-        known = {vid for vid, _ in self.variables}
-        for r, row in enumerate(self.rows):
+        known = {vid for vid, _ in variables}
+        for r, row in enumerate(rows):
             unknown = row.support() - known
             if unknown:
                 bad = ", ".join(sorted(v.name for v in unknown))
                 raise ValidationError(f"row {r} references unknown variables: {bad}")
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def _search(self) -> "_Search":
@@ -179,15 +248,14 @@ class LinearSystem:
         )
 
 
-@dataclass(frozen=True)
-class IntAssignment:
+class IntAssignment(Value):
     """A total integer assignment for some variable set."""
 
-    values: Mapping[VarId, int]
+    _fields = ("values",)
 
-    def __post_init__(self):
+    def __init__(self, values: Mapping[VarId, int]):
         clean = {}
-        for vid, v in dict(self.values).items():
+        for vid, v in dict(values).items():
             if type(v) is not int:
                 raise ValidationError(f"assignment value must be an integer: {v!r}")
             clean[vid] = v
@@ -201,15 +269,17 @@ class IntAssignment:
         return {vid.name: v for vid, v in sorted(self.values.items())}
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """First failed constraint found by :func:`evaluate`.
 
     Exactly one of ``row`` (row index) and ``var`` (box bound) is set.
     """
 
-    row: Optional[int] = None
-    var: Optional[VarId] = None
+    _fields = ("row", "var")
+
+    def __init__(self, row: Optional[int] = None, var: Optional[VarId] = None):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "var", var)
 
     def __str__(self):
         if self.row is not None:
@@ -261,9 +331,8 @@ class _IntRow:
     their gcd ``g``; an ``=`` row also holds the same items negated.
     ``shift`` holds the scaled items over the variables that are folded
     into the right-hand side instead (not divided by ``g``), ``rhs`` the
-    scaled right-hand side and ``scale`` the LCM.  A plain class rather
-    than a dataclass: ``resilp check`` pays for every class it defines at
-    import, and this one needs no generated methods.
+    scaled right-hand side and ``scale`` the LCM.  Not a :class:`Value`:
+    it is never compared, hashed or printed.
     """
 
     __slots__ = ("sides", "g", "shift", "rhs", "scale")

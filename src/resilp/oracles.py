@@ -140,10 +140,16 @@ _RDSCP_MAX_FAMILY = 12
 _RDSCP_MAX_SDT = 4
 
 
+def check_family_size(size: int) -> None:
+    """Refuse, as :func:`rdscp_oracle` does, a family of more than
+    ``_RDSCP_MAX_FAMILY`` sets: a :class:`BudgetError`."""
+    if size > _RDSCP_MAX_FAMILY:
+        raise BudgetError(f"family larger than {_RDSCP_MAX_FAMILY} sets")
+
+
 def rdscp_oracle(inst: RdscpInstance) -> bool:
     """Try every removal of at most s copies; all must leave a packing."""
-    if len(inst.family) > _RDSCP_MAX_FAMILY:
-        raise BudgetError(f"family larger than {_RDSCP_MAX_FAMILY} sets")
+    check_family_size(len(inst.family))
     if max(inst.s, inst.d, inst.t) > _RDSCP_MAX_SDT:
         raise BudgetError("s, d or t beyond the enumeration budget")
     universe = frozenset().union(*inst.family)

@@ -9,35 +9,36 @@ the plain side must then assign every job so each machine finishes by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from .engine import ResiliencySystem
 from .errors import ScenarioError, ValidationError
-from .ilp import IntAssignment, LinearRow, Rel, make_vars
+from .ilp import IntAssignment, LinearRow, Rel, Value, make_vars
 from .jsonio import read_object, require_int, require_ints, require_seq
 
 
-@dataclass(frozen=True)
-class SchedulingInstance:
+class SchedulingInstance(Value):
     """``ptimes[t][i]`` is the processing time of a type-``t`` job on
     machine ``i``; ``counts[t]`` is how many such jobs exist."""
 
-    machines: int
-    ptimes: Tuple[Tuple[int, ...], ...]
-    counts: Tuple[int, ...]
-    K: int
-    cmax: int
+    _fields = ("machines", "ptimes", "counts", "K", "cmax")
 
-    def __post_init__(self):
-        machines = require_int(self.machines, "machines", 1)
+    def __init__(
+        self,
+        machines: int,
+        ptimes: Tuple[Tuple[int, ...], ...],
+        counts: Tuple[int, ...],
+        K: int,
+        cmax: int,
+    ):
+        require_int(machines, "machines", 1)
         ptimes = tuple(
             require_ints(row, "processing times", 0)
-            for row in require_seq(self.ptimes, "ptimes")
+            for row in require_seq(ptimes, "ptimes")
         )
-        counts = require_ints(self.counts, "job counts", 0)
-        require_int(self.K, "K", 0)
-        require_int(self.cmax, "cmax", 0)
+        counts = require_ints(counts, "job counts", 0)
+        require_int(K, "K", 0)
+        require_int(cmax, "cmax", 0)
         if not ptimes:
             raise ValidationError("need at least one job type")
         if len(counts) != len(ptimes):
@@ -47,8 +48,11 @@ class SchedulingInstance:
                 raise ValidationError(
                     f"type {t} needs a time for each of {machines} machines"
                 )
+        object.__setattr__(self, "machines", machines)
         object.__setattr__(self, "ptimes", ptimes)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "cmax", cmax)
 
     @property
     def ntypes(self) -> int:

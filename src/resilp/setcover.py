@@ -16,14 +16,13 @@ deterministically (lowest copy index first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .engine import ResiliencySystem
 from .errors import BudgetError, ScenarioError, ValidationError
-from .ilp import IntAssignment, LinearRow, Rel, make_vars
+from .ilp import IntAssignment, LinearRow, Rel, Value, make_vars
 from .jsonio import read_object, require_int, require_ints, require_seq
 
 
@@ -33,8 +32,7 @@ def _unordered(value):
     return tuple(value) if isinstance(value, (set, frozenset)) else value
 
 
-@dataclass(frozen=True)
-class RdscpInstance:
+class RdscpInstance(Value):
     """Universe size, set family (a multiset), and the three budgets.
 
     ``s``: sets the adversary may remove; ``d``: disjoint covers that must
@@ -42,23 +40,22 @@ class RdscpInstance:
     a cover never needs more sets than universe elements.
     """
 
-    n: int
-    family: Tuple[frozenset, ...]
-    s: int
-    d: int
-    t: int
+    _fields = ("n", "family", "s", "d", "t")
 
-    def __post_init__(self):
-        n = require_int(self.n, "universe size n", 1)
+    def __init__(self, n: int, family: Tuple[frozenset, ...], s: int, d: int, t: int):
+        require_int(n, "universe size n", 1)
         family = tuple(
             frozenset(require_ints(_unordered(member), "set members", 1, n))
-            for member in require_seq(self.family, "family")
+            for member in require_seq(family, "family")
         )
-        require_int(self.s, "removal budget s", 0)
-        require_int(self.d, "cover count d", 1)
-        require_int(self.t, "cover size cap t", 1)
+        require_int(s, "removal budget s", 0)
+        require_int(d, "cover count d", 1)
+        require_int(t, "cover size cap t", 1)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "t", min(self.t, n))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "t", min(t, n))
 
     @classmethod
     def from_dict(cls, doc) -> "RdscpInstance":
@@ -74,12 +71,14 @@ class RdscpInstance:
         }
 
 
-@dataclass(frozen=True)
-class FamilyGroup:
+class FamilyGroup(Value):
     """All copies of one set content; ``copies`` are family indices."""
 
-    content: frozenset
-    copies: Tuple[int, ...]
+    _fields = ("content", "copies")
+
+    def __init__(self, content: frozenset, copies: Tuple[int, ...]):
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "copies", copies)
 
     @property
     def multiplicity(self) -> int:
@@ -285,35 +284,37 @@ def validate_packing(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuthorizationPolicy:
+class AuthorizationPolicy(Value):
     """Users, resources, an authorization relation, and a protected slice.
 
     ``p`` is the subset of resources that must stay coverable by ``d``
     disjoint user teams of size at most ``t`` after any ``s`` users leave.
     """
 
-    users: Tuple[str, ...]
-    resources: Tuple[str, ...]
-    vr: frozenset
-    p: Tuple[str, ...]
-    s: int
-    d: int
-    t: int
+    _fields = ("users", "resources", "vr", "p", "s", "d", "t")
 
-    def __post_init__(self):
-        users = require_seq(self.users, "users", str)
-        resources = require_seq(self.resources, "resources", str)
-        p = require_seq(self.p, "p", str)
+    def __init__(
+        self,
+        users: Tuple[str, ...],
+        resources: Tuple[str, ...],
+        vr: frozenset,
+        p: Tuple[str, ...],
+        s: int,
+        d: int,
+        t: int,
+    ):
+        users = require_seq(users, "users", str)
+        resources = require_seq(resources, "resources", str)
+        p = require_seq(p, "p", str)
         vr = frozenset(
             require_seq(pair, "vr pairs", str)
-            for pair in require_seq(_unordered(self.vr), "vr")
+            for pair in require_seq(_unordered(vr), "vr")
         )
         if any(len(pair) != 2 for pair in vr):
             raise ValidationError("vr must be a list of [user, resource] pairs")
-        require_int(self.s, "s", 0)
-        require_int(self.d, "d", 1)
-        require_int(self.t, "t", 1)
+        require_int(s, "s", 0)
+        require_int(d, "d", 1)
+        require_int(t, "t", 1)
         usr, res = set(users), set(resources)
         if len(usr) != len(users):
             raise ValidationError("duplicate users")
@@ -330,6 +331,9 @@ class AuthorizationPolicy:
         object.__setattr__(self, "resources", resources)
         object.__setattr__(self, "vr", vr)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "t", t)
 
     @classmethod
     def from_dict(cls, doc) -> "AuthorizationPolicy":
@@ -382,6 +386,33 @@ def _check_members(total: int) -> None:
         )
 
 
+def _hitting_set_source(n, sets, k) -> Tuple[List[Tuple[int, ...]], int]:
+    """The sorted sets of a hitting-set source and their common size
+    delta, once n, k and every set are checked."""
+    require_int(n, "vertex count", 0)
+    require_int(k, "k", 0)
+    cleaned = []
+    for s in require_seq(sets, "sets"):
+        members = sorted(set(require_ints(s, "set members", 1, n)))
+        if len(members) != len(s):
+            raise ValidationError(f"set {list(s)} repeats a vertex")
+        cleaned.append(tuple(members))
+    sizes = {len(s) for s in cleaned}
+    if len(sizes) > 1:
+        raise ValidationError("sets must all have the same size")
+    delta = sizes.pop() if sizes else 2
+    if delta < 2:
+        raise ValidationError("set size must be at least 2")
+    return cleaned, delta
+
+
+def family_size_from_hitting_set(n: int, sets: Sequence[Sequence[int]], k: int) -> int:
+    """How many sets :func:`gen_from_hitting_set` builds from a valid
+    source, without building them: one per vertex and one collector per
+    input set."""
+    return n + len(_hitting_set_source(n, sets, k)[0])
+
+
 def gen_from_hitting_set(
     n: int, sets: Sequence[Sequence[int]], k: int
 ) -> RdscpInstance:
@@ -397,21 +428,7 @@ def gen_from_hitting_set(
     pad-collectors.  Removing a vertex-set is then exactly as damaging as
     picking that vertex into a hitting set.
     """
-    require_int(n, "vertex count", 0)
-    require_int(k, "k", 0)
-    cleaned = []
-    for s in require_seq(sets, "sets"):
-        members = sorted(set(require_ints(s, "set members", 1, n)))
-        if len(members) != len(s):
-            raise ValidationError(f"set {list(s)} repeats a vertex")
-        cleaned.append(tuple(members))
-    sizes = {len(s) for s in cleaned}
-    if len(sizes) > 1:
-        raise ValidationError("sets must all have the same size")
-    delta = sizes.pop() if sizes else 2
-    if delta < 2:
-        raise ValidationError("set size must be at least 2")
-
+    cleaned, delta = _hitting_set_source(n, sets, k)
     m = len(cleaned)
     # Each (delta-1)-subset lies in the n-delta+1 vertex sets outside it
     # (n * C(n-1, delta-1) in all), each pad slot in one vertex set, and
@@ -450,6 +467,29 @@ def gen_from_hitting_set(
     )
 
 
+def _matching_source(n, triples, k) -> List[Tuple[int, ...]]:
+    """The triples of a 3DM source, once n, k and every triple are
+    checked."""
+    require_int(n, "part size", 0)
+    require_int(k, "k", 1)
+    cleaned = [
+        require_ints(tr, "triple coordinates", 1, n)
+        for tr in require_seq(triples, "triples")
+    ]
+    if any(len(tr) != 3 for tr in cleaned):
+        raise ValidationError("every triple needs three coordinates")
+    if len(set(cleaned)) != len(cleaned):
+        raise ValidationError("duplicate triples")
+    return cleaned
+
+
+def family_size_from_3dm(n: int, triples: Sequence[Sequence[int]], k: int) -> int:
+    """How many sets :func:`gen_from_3dm` builds from a valid source,
+    without building them: one per part element on each of the three axes
+    and one collector per triple."""
+    return 3 * n + len(_matching_source(n, triples, k))
+
+
 def gen_from_3dm(
     n: int, triples: Sequence[Sequence[int]], k: int
 ) -> RdscpInstance:
@@ -461,17 +501,7 @@ def gen_from_3dm(
     that hyperedge's complement-style collector.  Covers are disjoint
     exactly when the chosen hyperedges are.
     """
-    require_int(n, "part size", 0)
-    require_int(k, "k", 1)
-    cleaned = [
-        require_ints(tr, "triple coordinates", 1, n)
-        for tr in require_seq(triples, "triples")
-    ]
-    if any(len(tr) != 3 for tr in cleaned):
-        raise ValidationError("every triple needs three coordinates")
-    if len(set(cleaned)) != len(cleaned):
-        raise ValidationError("duplicate triples")
-
+    cleaned = _matching_source(n, triples, k)
     m = len(cleaned)
     # Each coordinate block holds its anchor and one tag per triple using
     # that coordinate; each collector holds all but 3 tags and 3 anchors.

@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 from functools import lru_cache
 
 from resilp import bribery, closest_string, scheduling, setcover
@@ -239,31 +238,36 @@ def test_criterion_08_budget_monotonicity():
     for i, (inst, _system, verdict) in enumerate(rdscp_suite()):
         if verdict.resilient and inst.s >= 1:
             checked += 1
-            if not check_resiliency(setcover.encode(replace(inst, s=inst.s - 1))).resilient:
+            weaker = setcover.RdscpInstance(
+                inst.n, inst.family, inst.s - 1, inst.d, inst.t
+            )
+            if not check_resiliency(setcover.encode(weaker)).resilient:
                 violations.append(("setcover", i))
     for i, (inst, _system, verdict) in enumerate(rcs_suite()):
         if verdict.resilient and inst.m >= 1:
             checked += 1
-            if not check_resiliency(
-                closest_string.encode(replace(inst, m=inst.m - 1))
-            ).resilient:
+            weaker = closest_string.RcsInstance(inst.matrix, inst.d, inst.m - 1)
+            if not check_resiliency(closest_string.encode(weaker)).resilient:
                 violations.append(("strings", i))
     for i, (inst, _system, verdict) in enumerate(sched_suite()):
         if verdict.resilient and inst.K >= 1:
             checked += 1
-            if not check_resiliency(
-                scheduling.encode(replace(inst, K=inst.K - 1))
-            ).resilient:
+            weaker = scheduling.SchedulingInstance(
+                inst.machines, inst.ptimes, inst.counts, inst.K - 1, inst.cmax
+            )
+            if not check_resiliency(scheduling.encode(weaker)).resilient:
                 violations.append(("scheduling", i))
     for i, (inst, _system, verdict) in enumerate(bribery_suite()):
         if not verdict.resilient:
             continue
         if inst.ba >= 1:
             checked += 1
-            if not check_resiliency(bribery.encode(replace(inst, ba=inst.ba - 1))).resilient:
+            weaker = bribery.BriberyInstance(inst.election, inst.ba - 1, inst.b)
+            if not check_resiliency(bribery.encode(weaker)).resilient:
                 violations.append(("bribery -ba", i))
         checked += 1
-        if not check_resiliency(bribery.encode(replace(inst, b=inst.b + 1))).resilient:
+        stronger = bribery.BriberyInstance(inst.election, inst.ba, inst.b + 1)
+        if not check_resiliency(bribery.encode(stronger)).resilient:
             violations.append(("bribery +b", i))
     _report(
         8,

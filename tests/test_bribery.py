@@ -286,3 +286,12 @@ def test_vote_counts_are_read_as_given():
     doc["votes"] = [{"order": [1, 2], "count": -1}, {"order": [1, 2], "count": 2}]
     with pytest.raises(ValidationError, match="voter counts"):
         BriberyInstance.from_dict(doc)
+
+
+@pytest.mark.parametrize("scale, ba, b", [(1, 2, 2), (10, 5, 7)])
+def test_kappa_ignores_magnitudes(scale, ba, b):
+    # the paper's parameter: vote counts and both budgets may grow, the
+    # candidates and the scoring rule fix kappa
+    census = {(1, 2, 3): 3, (2, 1, 3): 2, (3, 1, 2): 2, (2, 3, 1): 1}
+    election = Election(3, {o: scale * c for o, c in census.items()}, (2, 1, 0))
+    assert encode(BriberyInstance(election, ba, b)).kappa == 99

@@ -216,6 +216,28 @@ def test_aggregate_distance_reaches_encoder_and_oracle(tmp_path, capsys):
     assert json.loads(out)["oracle"] is False
 
 
+@pytest.mark.parametrize(
+    "command, which",
+    [
+        ("encode", "--problem"),
+        ("check", "--problem"),
+        ("oracle", "--problem"),
+        ("check", "--raw"),
+    ],
+)
+def test_aggregate_distance_outside_rcs_is_refused(tmp_path, capsys, command, which):
+    if which == "--raw":
+        sched = write(tmp_path, SCHED_YES)
+        _, system, _ = run(capsys, "encode", "--problem", "sched", sched)
+        argv = [command, "--raw", write(tmp_path, json.loads(system), "raw.json")]
+    else:
+        argv = [command, "--problem", "sched", write(tmp_path, SCHED_YES)]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--aggregate-distance")
+    assert (code, out) == (2, "")
+    assert err == "error: --aggregate-distance applies to --problem rcs only\n"
+
+
 def test_aggregate_decode_keeps_the_total_mismatch_within_d(tmp_path, capsys):
     doc = {"alphabet": ["a", "b"], "strings": ["ab", "aa"], "d": 1, "m": 0}
     code, out, err = run(
@@ -374,6 +396,30 @@ def test_gen_verify_refuses_a_large_source_before_searching_it(tmp_path, capsys)
     code, out, err = run(capsys, "gen", "--reduction", "hitting-set", src, "--verify")
     assert (code, out) == (2, "")
     assert "family larger than 12 sets" in err and "Traceback" not in err
+
+
+def test_gen_verify_refuses_a_large_family_before_building_it(
+    tmp_path, capsys, monkeypatch
+):
+    from resilp import setcover
+
+    def unasked(*args):
+        raise AssertionError("the generator ran on an over-budget source")
+
+    monkeypatch.setattr(setcover, "gen_from_3dm", unasked)
+    # 3 * 570 + 570 sets; the instance alone would hold 976,980 members
+    triples = [[i, i, i] for i in range(1, 571)]
+    src = write(tmp_path, {"n": 570, "triples": triples, "k": 1})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", "--reduction", "3dm", src, "--verify")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == "error: family larger than 12 sets\n"
+    # a malformed source is still refused for what is wrong with it
+    src = write(tmp_path, {"n": 570, "triples": triples + [[1, 1]], "k": 1}, "t.json")
+    code, out, err = run(capsys, "gen", "--reduction", "3dm", src, "--verify")
+    assert (code, out) == (2, "")
+    assert err == "error: every triple needs three coordinates\n"
 
 
 @pytest.mark.parametrize(

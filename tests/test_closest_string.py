@@ -464,3 +464,13 @@ def test_decode_solution_refuses_a_center_past_the_bound(per_row_distance, messa
     x = IntAssignment({VarId(0, "x[a,a]"): 0, VarId(1, "x[a,b]"): 1})
     with pytest.raises(ValidationError, match=message):
         decode_solution(inst, inst.matrix, x, per_row_distance=per_row_distance)
+
+
+@pytest.mark.parametrize("length", [2, 4, 8, 16])
+@pytest.mark.parametrize("d, m", [(1, 1), (4, 4)])
+def test_kappa_ignores_magnitudes(length, d, m):
+    # the paper's parameter: four binary strings give the same kappa
+    # whatever their length and whatever d and m are
+    strings = ("aaabbaaa", "aaabbaba", "bbaaaaaa", "aabaaaab")
+    matrix = _matrix(*((s * 2)[:length] for s in strings))
+    assert encode(RcsInstance(matrix, d, m)).kappa == 169

@@ -26,6 +26,7 @@ from resilp.ilp import (
     Rel,
     VarBounds,
     VarId,
+    Violation,
     _propagate,
     evaluate,
     read_transfer,
@@ -553,3 +554,32 @@ def test_read_transfer_agrees_with_the_rows_transfer_builds():
                          for s in types for d in types}
         seen += 1
     assert seen == 3  # stay put, or move one unit either way
+
+
+def test_value_classes_compare_hash_print_and_stay_frozen():
+    x, y = VarId(0, "x"), VarId(1, "a")
+    assert x == VarId(index=0, name="x") and hash(x) == hash((0, "x"))
+    # ordered by (index, name), with all four comparisons
+    assert x < y and x <= y and y > x and y >= x and not x < x
+    assert VarId(0, "a") < VarId(0, "b") and sorted([y, x]) == [x, y]
+    with pytest.raises(TypeError):
+        x < VarBounds(0, 1)
+    # equal only within one class, field by field in order
+    assert VarBounds(0, 1) == VarBounds(0, 1) != VarBounds(0, 2)
+    assert VarBounds(0, 1) != VarId(0, 1) and VarBounds(0, 1) != (0, 1)
+    assert Violation() == Violation(row=None, var=None) != Violation(row=0)
+    assert repr(x) == "VarId(index=0, name='x')"
+    assert repr(Violation(row=2)) == "Violation(row=2, var=None)"
+    point = IntAssignment({x: 1})
+    with pytest.raises(TypeError):
+        hash(point)  # a dict field leaves the value unhashable
+    system = LinearSystem(make_vars([("x", 0, 1)]), ())
+    assert system == LinearSystem(make_vars([("x", 0, 1)]), ())
+    for value, field in ((x, "index"), (point, "values"), (system, "rows")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.other = None
+    assert system._search is system._search  # cached on the instance

@@ -288,3 +288,13 @@ def test_no_downtime_collapses_to_plain_makespan():
             base.machines, base.ptimes, base.counts, 0, base.cmax
         )
         assert check_resiliency(encode(inst)).resilient == plain_fits(inst)
+
+
+@pytest.mark.parametrize(
+    "counts, K", [((4, 4, 4), 4), ((4, 4, 4), 48), ((40, 40, 40), 4)]
+)
+def test_kappa_ignores_magnitudes(counts, K):
+    # the paper's parameter: only the shape of the instance counts, not
+    # how large the delay budget, the makespan or the job counts are
+    ptimes = ((1, 2, 3), (2, 1, 2), (3, 3, 1))
+    assert encode(SchedulingInstance(3, ptimes, counts, K, K)).kappa == 18

@@ -153,7 +153,9 @@ def error_runs():
     """(label, argv, document text) for inputs the CLI must refuse: a null
     bound, a bare-integer string coefficient, nesting deeper than the JSON
     reader recurses, reduction sources just over the generators' member
-    budget, and the ``--max-patterns`` option, which no longer exists."""
+    budget, the ``--max-patterns`` option, which no longer exists,
+    ``--aggregate-distance`` outside rcs, and ``gen --verify`` on a source
+    whose instance has more sets than the rdscp oracle takes."""
     raw = ["check", "--raw"]
     yield "null-bound", raw, json.dumps(
         {"variables": [{"name": "x", "lower": 0, "upper": None}], "zvars": [], "rows": []}
@@ -177,6 +179,16 @@ def error_runs():
     )
     yield "max-patterns", ["check", "--problem", "rdscp", "--max-patterns", "1"], json.dumps(
         {"n": 2, "family": [[1], [2], [1, 2]], "s": 1, "d": 1, "t": 2}
+    )
+    sched = {"machines": 2, "ptimes": [[1, 2]], "counts": [2], "K": 2, "cmax": 3}
+    yield "aggregate-sched", ["check", "--problem", "sched", "--aggregate-distance"], (
+        json.dumps(sched)
+    )
+    code, system, err = call(["encode", "--problem", "sched", "-"], json.dumps(sched))
+    assert code == 0, err
+    yield "aggregate-raw", ["check", "--raw", "--aggregate-distance"], system
+    yield "3dm-570-verify", ["gen", "--reduction", "3dm", "--verify"], json.dumps(
+        {"n": 570, "triples": [[i, i, i] for i in range(1, 571)], "k": 1}
     )
 
 
