@@ -343,8 +343,9 @@ def cmd_gen_random(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first `main` call.
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The one parser of this process and its commands' parsers by name,
+    built on the first `main` call.
 
     Not built at import, so a start that never parses pays nothing for it.
     It is shared by every later call, so it must hold no per-call state:
@@ -420,12 +421,33 @@ def _build_parser() -> argparse.ArgumentParser:
     rnd.add_argument("--count", type=int, default=1)
     rnd.set_defaults(func=cmd_gen_random)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """``argv`` parsed as the top-level parser would parse it.
+
+    A command's arguments go straight to that command's parser, which is
+    what the top-level parse hands them to, without the top-level pass
+    over every argument.  What that parser leaves over is reported by the
+    top-level parser, with argparse's words.  The top-level parser itself
+    handles no command, an unknown command and its own ``-h``.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse has already written the usage error or the help;
         # its status is 2 or 0

@@ -1,9 +1,12 @@
 """Bounded integer feasibility for exact-rational linear systems.
 
 Variables live in finite integer boxes.  Rows are sparse linear
-constraints with ``<=`` or ``=`` relations and :class:`fractions.Fraction`
-coefficients; no floating point enters the core.  Each system is compiled
-for the search once, on first use: every row is scaled by the LCM of its
+constraints with ``<=`` or ``=`` relations and exact rational
+coefficients: an integral value read or built as an ``int`` stays an
+``int``, and :class:`fractions.Fraction` holds any other rational (both
+have ``numerator`` and ``denominator``, which is all the compiler reads);
+no floating point enters the core.  Each system is compiled for the
+search once, on first use: every row is scaled by the LCM of its
 denominators and divided by the gcd of its coefficients (gcd tightening),
 so the search works on integers only, and each ``=`` row is read as a pair
 of ``<=`` rows.  Feasibility is decided by a depth-first branch-and-prune
@@ -40,15 +43,16 @@ from .errors import DomainError, ValidationError
 _RATIONAL_RE = re.compile(r"-?[0-9]+/[0-9]+")
 
 
-def parse_rational(value: Union[int, str]) -> Fraction:
+def parse_rational(value: Union[int, str]) -> Union[int, Fraction]:
     """Parse a serialized rational: a JSON integer or a ``"p/q"`` string.
 
-    The string must match ``-?[0-9]+/[0-9]+`` in full, the pattern of the
-    schema in docs/formats.md.  Floats are rejected so inexact values can
-    never leak into a system.
+    A JSON integer stays an int.  The string must match ``-?[0-9]+/[0-9]+``
+    in full, the pattern of the schema in docs/formats.md, and becomes a
+    :class:`~fractions.Fraction`.  Floats are rejected so inexact values
+    can never leak into a system.
     """
     if type(value) is int:
-        return Fraction(value)
+        return value
     if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
         num, _, den = value.partition("/")
         try:
@@ -63,7 +67,7 @@ def parse_rational(value: Union[int, str]) -> Fraction:
     raise ValidationError(f"not a rational: {value!r}")
 
 
-def format_rational(value: Fraction) -> Union[int, str]:
+def format_rational(value: Union[int, Fraction]) -> Union[int, str]:
     """Serialize a rational as a bare integer when possible, else ``"p/q"``."""
     if value.denominator == 1:
         return int(value)
@@ -169,11 +173,11 @@ class VarBounds(Value):
         object.__setattr__(self, "upper", upper)
 
 
-def _coerce_rational(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce_rational(value) -> Union[int, Fraction]:
+    # The int test comes first: it is the common case, and an isinstance
+    # test against Fraction goes through ABCMeta.__instancecheck__.
+    if type(value) is int or isinstance(value, Fraction):
         return value
-    if type(value) is int:
-        return Fraction(value)
     raise ValidationError(f"coefficient must be an int or Fraction, got {value!r}")
 
 
@@ -187,7 +191,12 @@ class LinearRow(Value):
 
     _fields = ("coeffs", "rel", "rhs")
 
-    def __init__(self, coeffs: Mapping[VarId, Fraction], rel: Rel, rhs: Fraction):
+    def __init__(
+        self,
+        coeffs: Mapping[VarId, Union[int, Fraction]],
+        rel: Rel,
+        rhs: Union[int, Fraction],
+    ):
         clean = {}
         for vid, c in dict(coeffs).items():
             if not isinstance(vid, VarId):

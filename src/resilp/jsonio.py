@@ -1,5 +1,5 @@
-"""JSON (de)serialization for linear systems, partitioned systems, and
-verdict reports.  The document shapes are published in docs/formats.md.
+"""JSON (de)serialization for partitioned systems and verdict reports.
+The document shapes are published in docs/formats.md.
 
 Partitioned systems are flattened to a plain system document plus a
 ``zvars`` name list; on ingest, each row's block is derived from which
@@ -19,7 +19,6 @@ from .errors import ValidationError
 from .ilp import (
     IntAssignment,
     LinearRow,
-    LinearSystem,
     Rel,
     VarBounds,
     VarId,
@@ -51,7 +50,17 @@ def read_object(doc, keys: Sequence[str], what: str) -> tuple:
     Every reader of an input document goes through here: ``doc`` must be
     an object holding exactly ``keys``, so a missing key is never read as
     a default and an unknown one never passes unnoticed.
+
+    ``keys`` holds no duplicates, so an object of ``len(keys)`` keys that
+    has every key has no other, and its values are returned at once.  A
+    plain ``dict`` only: a subclass may answer a missing key (as
+    ``defaultdict`` does) and takes the checks below.
     """
+    if type(doc) is dict and len(doc) == len(keys):
+        try:
+            return tuple([doc[key] for key in keys])
+        except KeyError:
+            pass  # one key swapped for another: the checks below name it
     _require(isinstance(doc, dict), f"{what} must be an object")
     missing = [key for key in keys if key not in doc]
     _require(not missing, f"missing {what} keys: {missing}")
@@ -141,24 +150,6 @@ def _row_from_dict(entry, byname) -> LinearRow:
         coeffs[byname[name]] = parse_rational(value)
     _require(rel in (Rel.LEQ.value, Rel.EQ.value), f"bad relation: {rel!r}")
     return LinearRow(coeffs, Rel(rel), parse_rational(rhs))
-
-
-def system_to_dict(system: LinearSystem) -> dict:
-    return {
-        "variables": [_variable_to_dict(v, b) for v, b in system.variables],
-        "rows": [_row_to_dict(r) for r in system.rows],
-    }
-
-
-def system_from_dict(doc: Mapping) -> LinearSystem:
-    variables_doc, rows_doc = read_object(doc, ("variables", "rows"), "system")
-    named = _variables_from_list(variables_doc)
-    variables = tuple(
-        (VarId(i, name), bounds) for i, (name, bounds) in enumerate(named)
-    )
-    byname = {vid.name: vid for vid, _ in variables}
-    rows = tuple(_row_from_dict(r, byname) for r in require_seq(rows_doc, "rows"))
-    return LinearSystem(variables, rows)
 
 
 def resiliency_to_dict(system: ResiliencySystem) -> dict:

@@ -601,3 +601,33 @@ def test_help_returns_0(capsys):
     code, out, err = run(capsys, "check", "--help")
     assert code == 0 and err == ""
     assert out.startswith("usage: resilp check")
+
+
+@pytest.mark.parametrize(
+    "argv,code,stream,start,end",
+    [
+        # the command's parser leaves --bogus over; the top-level parser
+        # reports it, as the nested parse did
+        (
+            ["check", "--problem", "sched", "{path}", "--bogus"], 2, "err",
+            "usage: resilp [-h]",
+            "resilp: error: unrecognized arguments: --bogus\n",
+        ),
+        (["check", "-h"], 0, "out", "usage: resilp check", ""),
+        (
+            ["nosuch"], 2, "err",
+            "usage: resilp [-h]",
+            "resilp: error: argument command: invalid choice: 'nosuch' "
+            "(choose from 'encode', 'check', 'oracle', 'gen', 'gen-random')\n",
+        ),
+    ],
+    ids=["unrecognized-argument", "command-help", "unknown-command"],
+)
+def test_the_command_parser_prints_what_the_nested_parse_printed(
+    argv, code, stream, start, end, tmp_path, capsys
+):
+    path = write(tmp_path, SCHED_YES)
+    got, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    text, other = (out, err) if stream == "out" else (err, out)
+    assert got == code and other == ""
+    assert text.startswith(start) and text.endswith(end)

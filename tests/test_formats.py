@@ -16,8 +16,6 @@ from resilp.errors import ValidationError
 from resilp.jsonio import (
     resiliency_from_dict,
     resiliency_to_dict,
-    system_from_dict,
-    system_to_dict,
     verdict_to_dict,
 )
 from resilp.sampling import (
@@ -199,7 +197,6 @@ def test_cli_raw_decode_report_validates(tmp_path, capsys):
 # --------------------------------------------- schema vs. reader, mutated
 
 READERS = {
-    "resilp:system": system_from_dict,
     "resilp:resiliency-system": resiliency_from_dict,
     "resilp:rdscp-instance": setcover.RdscpInstance.from_dict,
     "resilp:policy-instance": setcover.AuthorizationPolicy.from_dict,
@@ -213,13 +210,10 @@ SOURCES = {"resilp:hitting-set-source": "hitting-set", "resilp:3dm-source": "3dm
 def valid_documents(schema_id):
     """Seeded valid documents of one schema, with nested objects present."""
     rng = random.Random(29)
-    if schema_id in ("resilp:system", "resilp:resiliency-system"):
+    if schema_id == "resilp:resiliency-system":
         systems = [random_system(rng) for _ in range(6)]
         systems.append(scheduling.encode(random_sched(rng)))
-        docs = [resiliency_to_dict(system) for system in systems]
-        if schema_id == "resilp:system":
-            docs = [{"variables": d["variables"], "rows": d["rows"]} for d in docs]
-        return docs
+        return [resiliency_to_dict(system) for system in systems]
     makers = {
         "resilp:rdscp-instance": random_rdscp,
         "resilp:rcs-instance": random_rcs,

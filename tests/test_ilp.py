@@ -27,6 +27,7 @@ from resilp.ilp import (
     VarBounds,
     VarId,
     Violation,
+    _int_row,
     _propagate,
     evaluate,
     read_transfer,
@@ -438,6 +439,38 @@ def test_rational_parse_and_format():
     assert format_rational(Fraction(5)) == 5
     assert format_rational(Fraction(-7, 2)) == "-7/2"
     assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
+
+
+def test_integer_rows_stay_ints():
+    assert type(parse_rational(3)) is int
+    assert parse_rational("6/3") == 2
+    x = VarId(0, "x")
+    row = LinearRow({x: 2}, Rel.LEQ, 5)
+    assert type(row.coeffs[x]) is int and type(row.rhs) is int
+    assert type(LinearRow({x: Fraction(1, 2)}, Rel.LEQ, 5).coeffs[x]) is Fraction
+    with pytest.raises(ValidationError):
+        LinearRow({x: True}, Rel.LEQ, 5)
+    with pytest.raises(ValidationError):
+        LinearRow({x: 1}, Rel.LEQ, True)
+
+
+def test_int_rows_compile_as_their_fraction_twins():
+    rng = random.Random(0x1D7)
+    ids = [VarId(i, f"v{i}") for i in range(5)]
+    for _ in range(200):
+        support = rng.sample(ids, rng.randint(0, 5))
+        coeffs = {vid: rng.randint(-6, 6) for vid in support}
+        rel, rhs = rng.choice(list(Rel)), rng.randint(-9, 9)
+        ints = LinearRow(coeffs, rel, rhs)
+        twin = LinearRow(
+            {vid: Fraction(c) for vid, c in coeffs.items()}, rel, Fraction(rhs)
+        )
+        assert ints == twin
+        for folded in (frozenset(), frozenset(rng.sample(support, len(support) // 2))):
+            a, b = _int_row(ints, folded), _int_row(twin, folded)
+            for field in ("sides", "g", "shift", "rhs", "scale"):
+                assert getattr(a, field) == getattr(b, field)
+                assert type(getattr(a, field)) is type(getattr(b, field))
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from resilp.errors import ValidationError
 from resilp.ilp import (
     IntAssignment,
     LinearRow,
-    LinearSystem,
     Rel,
     VarBounds,
     VarId,
@@ -26,9 +25,8 @@ from resilp.ilp import (
 from resilp.jsonio import (
     assignment_to_dict,
     resiliency_from_dict,
+    read_object,
     resiliency_to_dict,
-    system_from_dict,
-    system_to_dict,
     verdict_to_dict,
 )
 from resilp.scheduling import SchedulingInstance
@@ -37,28 +35,34 @@ from resilp.setcover import RdscpInstance
 from resilp.setcover import encode as encode_rdscp
 
 
+def _x_only(variables, rows):
+    """A partitioned system with no z block: a plain system of x rows."""
+    return ResiliencySystem(variables, (), rows, (), ())
+
+
 def test_system_round_trip_with_rationals():
     variables = make_vars([("x", 0, 5), ("y", -3, 3)])
     rows = (
         LinearRow({variables[0][0]: Fraction(2, 3), variables[1][0]: -1}, Rel.LEQ, Fraction(7, 2)),
         LinearRow({variables[0][0]: 1}, Rel.EQ, 4),
     )
-    system = LinearSystem(variables, rows)
-    doc = system_to_dict(system)
+    system = _x_only(variables, rows)
+    doc = resiliency_to_dict(system)
+    assert doc["zvars"] == []
     assert doc["variables"][1] == {"name": "y", "lower": -3, "upper": 3}
     assert doc["rows"][0]["coeffs"] == {"x": "2/3", "y": -1}
     assert doc["rows"][0]["rhs"] == "7/2"
-    assert system_from_dict(doc) == system
+    assert resiliency_from_dict(doc) == system
 
 
 def test_system_survives_json_text():
     variables = make_vars([("a", -2, 2), ("b", 0, 1)])
-    system = LinearSystem(
+    system = _x_only(
         variables,
         (LinearRow({variables[0][0]: 3, variables[1][0]: Fraction(1, 2)}, Rel.LEQ, 1),),
     )
-    text = json.dumps(system_to_dict(system))
-    assert system_from_dict(json.loads(text)) == system
+    text = json.dumps(resiliency_to_dict(system))
+    assert resiliency_from_dict(json.loads(text)) == system
 
 
 @pytest.mark.parametrize(
@@ -88,7 +92,21 @@ def test_system_survives_json_text():
 )
 def test_bad_system_documents_rejected(doc):
     with pytest.raises(ValidationError):
-        system_from_dict(doc)
+        resiliency_from_dict({**doc, "zvars": []})
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        # as many keys as asked for, one of them swapped for another
+        ({"name": "x", "lower": 0, "uper": 1}, r"missing variable keys: \['upper'\]"),
+        ([["name", "x"], ["lower", 0], ["upper", 1]], "variable must be an object"),
+    ],
+    ids=["swapped-key", "not-an-object"],
+)
+def test_read_object_names_what_is_wrong(doc, message):
+    with pytest.raises(ValidationError, match=message):
+        read_object(doc, ("name", "lower", "upper"), "variable")
 
 
 def _hand_built():
@@ -159,8 +177,6 @@ def test_zvars_validation():
 def test_duplicate_names_are_rejected_by_the_system_type(zvars):
     twice = [{"name": "x", "lower": 0, "upper": 1}] * 2
     doc = {"variables": twice, "rows": []}
-    with pytest.raises(ValidationError, match="duplicate variable name: 'x'"):
-        system_from_dict(doc)
     with pytest.raises(ValidationError, match="duplicate variable name: 'x'"):
         resiliency_from_dict({**doc, "zvars": zvars})
 

@@ -5,8 +5,9 @@ Runs ``resilp.cli.main`` in process on every perfbench document
 ``--aggregate-distance``, and ``oracle``) and runs ``gen`` and
 ``gen --verify`` on the reduction sources the tests use, then a few other
 checks (``check_runs``), ``check --raw -`` and ``oracle --raw -`` on an
-encoded system fed on standard input (``stdin_runs``) and a few inputs
-that must be refused (``error_runs``).  Prints one line per run: its
+encoded system fed on standard input (``stdin_runs``), a few inputs
+that must be refused (``error_runs``) and what the parsers print for
+help and usage errors (``help_runs``).  Prints one line per run: its
 label, its exit code and short hashes of stdout and stderr, with
 ``wall_time`` values, the document path and the location a warning
 points at masked.  A refactor
@@ -192,6 +193,21 @@ def error_runs():
     )
 
 
+def help_runs(path: str):
+    """(label, argv) for what the parsers print: top-level ``-h``, each
+    command's ``-h``, no command, an unknown command, and an argument
+    that ``encode``, ``oracle`` and ``gen`` do not take, after a document
+    ``path`` they would read."""
+    yield "top", ["-h"]
+    for command in ("encode", "check", "oracle", "gen", "gen-random"):
+        yield command, [command, "-h"]
+    yield "no-command", []
+    yield "unknown-command", ["nosuch"]
+    yield "encode-bogus", ["encode", "--problem", "sched", path, "--bogus"]
+    yield "oracle-bogus", ["oracle", "--problem", "sched", path, "--bogus", "1"]
+    yield "gen-bogus", ["gen", "--reduction", "3dm", path, "--bogus"]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "doc.json")
@@ -213,6 +229,9 @@ def main() -> int:
             print(f"stdin {name} {run(argv, path, stdin=text)}", flush=True)
         for name, argv, text in error_runs():
             digest(f"error {name}", argv, text)
+        Path(path).write_text(json.dumps({"n": 1, "triples": [[1, 1, 1]], "k": 1}))
+        for name, argv in help_runs(path):
+            print(f"help {name} {run(argv, path)}", flush=True)
     return 0
 
 
