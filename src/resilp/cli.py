@@ -342,6 +342,18 @@ def cmd_gen_random(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
+def _count(text: str) -> int:
+    """An int flag value that counts something, so is never negative;
+    argparse reports what this refuses as a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
     """The one parser of this process and its commands' parsers by name,
@@ -384,8 +396,8 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
                      help="also run plain box enumeration on the system; exit 3 on mismatch")
     chk.add_argument("--decode", action="store_true",
                      help="attach a human-readable witness or sample solution")
-    chk.add_argument("--max-scenarios", type=int, default=1_000_000)
-    chk.add_argument("--max-points", type=int, default=10_000_000)
+    chk.add_argument("--max-scenarios", type=_count, default=1_000_000)
+    chk.add_argument("--max-points", type=_count, default=10_000_000)
     chk.add_argument("--aggregate-distance", action="store_true",
                      help="rcs only: one total-distance row instead of per-row rows")
     chk.set_defaults(func=cmd_check)
@@ -396,7 +408,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     which.add_argument("--problem", choices=PROBLEMS)
     which.add_argument("--raw", action="store_true")
     orc.add_argument("instance", help="JSON file, or - for stdin")
-    orc.add_argument("--max-points", type=int, default=10_000_000)
+    orc.add_argument("--max-points", type=_count, default=10_000_000)
     orc.add_argument("--aggregate-distance", action="store_true",
                      help="rcs only: one total distance instead of one per string")
     orc.set_defaults(func=cmd_oracle)
@@ -418,7 +430,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     rnd.add_argument("--family", required=True,
                      choices=("system", "rdscp", "rcs", "sched", "bribery"))
     rnd.add_argument("--seed", type=int, default=0)
-    rnd.add_argument("--count", type=int, default=1)
+    rnd.add_argument("--count", type=_count, default=1)
     rnd.set_defaults(func=cmd_gen_random)
 
     return parser, sub.choices

@@ -21,6 +21,17 @@ rhs = base - B*z in ints, and hands the solver those rows with the
 substituted system; ``evaluate`` runs only to name a rejected scenario's
 first violation.
 
+The x side sees a scenario only through its shift B*z, the z terms of the
+mixed rows: the x rows and x boxes stay fixed, and each mixed row's rhs is
+base - shift.  So ``check_resiliency`` keeps, for one call, the shifts of
+the scenarios it found feasible, and counts a later scenario with an equal
+shift as checked without substituting or solving it.  Only feasible shifts
+are kept, so the first failing scenario is always solved and becomes the
+witness.  Two distinct z share a shift only when B's columns are linearly
+dependent, so the memo runs only when the rank of B is below the number of
+z variables (computed once per kernel); it stops growing at
+``_MAX_SHIFTS`` keys, past which a new shift is simply solved.
+
 Each block is indexed densely from zero so that both the z subsystem and
 the substituted x system are well-formed :class:`~resilp.ilp.LinearSystem`
 values; variable names stay unique across the whole system.
@@ -28,6 +39,7 @@ values; variable names stay unique across the whole system.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Tuple
@@ -47,6 +59,10 @@ from .ilp import (
     iter_feasible,
     solve_feasibility,
 )
+
+# Shifts one check_resiliency call keeps at most; a shift past the cap is
+# solved, so the cap bounds memory and never changes an answer.
+_MAX_SHIFTS = 1 << 16
 
 
 class ResiliencySystem(Value):
@@ -111,6 +127,11 @@ class _Kernel:
     rhs, so a scenario only moves right-hand sides: rhs = base - B*z, in
     ints.  The watch lists cover the x rows and then the mixed rows, in
     the layout :func:`substitute` emits them.
+
+    ``shifts`` holds each mixed row's shift items when two distinct
+    scenarios can share a shift (B's rank is below the number of z
+    variables), else ``None``: then every shift is new and the scenario
+    loop keeps no memo.
     """
 
     def __init__(self, system: ResiliencySystem):
@@ -133,6 +154,11 @@ class _Kernel:
         self.watch = _watch(
             len(system.x_vars), xforms + [form for form, _, _ in self.mixed]
         )
+        # The rank is at most the row count, so with fewer mixed rows than
+        # z variables the elimination is not needed.
+        shifts = [form.shift for form, _, _ in self.mixed]
+        n = len(self.zids)
+        self.shifts = shifts if len(shifts) < n or _rank(shifts) < n else None
 
     def admitted(self, scenario: IntAssignment) -> Optional[list]:
         """The scenario's z values in index order, or ``None`` when it is
@@ -150,6 +176,38 @@ class _Kernel:
         ):
             return z
         return None
+
+
+def _rank(rows) -> int:
+    """Rank of an int matrix given by sparse rows ``((column, coeff), ...)``.
+
+    Fraction-free elimination: each step takes a pivot row p with a
+    nonzero entry in column k and replaces every other row r that reads k
+    by ``p[k] * r - r[k] * p``, so every entry stays an int; a row is then
+    divided by the gcd of its entries to keep them small.
+    """
+    rows = [dict(row) for row in rows]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if not any(pivot.values()):
+            continue
+        rank += 1
+        k, p = next((j, c) for j, c in pivot.items() if c)
+        rest = []
+        for row in rows:
+            c = row.get(k)
+            if c:
+                row = {
+                    j: v
+                    for j in row.keys() | pivot.keys()
+                    if (v := p * row.get(j, 0) - c * pivot.get(j, 0))
+                }
+                g = math.gcd(*row.values())
+                row = {j: v // g for j, v in row.items()}
+            rest.append(row)
+        rows = rest
+    return rank
 
 
 class ResiliencyVerdict(Value):
@@ -221,6 +279,12 @@ def check_resiliency(
 
     Stops at the first failing scenario.  More than ``max_scenarios``
     scenarios raise :class:`BudgetError`.
+
+    A scenario whose shift B*z equals that of a scenario already found
+    feasible is counted as checked and not solved again (see the module
+    docstring: only feasible shifts are kept, only when B's rank allows a
+    repeat, at most ``_MAX_SHIFTS`` of them, and only for this call).  The
+    verdict, witness, count and sample are those of solving every scenario.
     """
     checked = 0
     sample = None
@@ -231,10 +295,23 @@ def check_resiliency(
                 f"scenario budget exceeded ({max_scenarios}); raise the cap "
                 "to keep searching"
             )
+        if sample is None:
+            # Fetched at the first scenario, so a system with none never
+            # compiles its kernel.
+            shifts = system._kernel.shifts
+            seen = set()
+        if shifts is not None:
+            # iter_feasible lays the values out in index order
+            z = list(scenario.values.values())
+            key = tuple([sum(c * z[j] for j, c in items) for items in shifts])
+            if key in seen:
+                continue
         x_values = solve_feasibility(substitute(system, scenario))
         if sample is None:
             sample = (scenario, x_values)
         if x_values is None:
             return ResiliencyVerdict(False, scenario, checked, sample)
+        if shifts is not None and len(seen) < _MAX_SHIFTS:
+            seen.add(key)
     return ResiliencyVerdict(True, None, checked, sample)
 

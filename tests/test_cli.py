@@ -631,3 +631,23 @@ def test_the_command_parser_prints_what_the_nested_parse_printed(
     text, other = (out, err) if stream == "out" else (err, out)
     assert got == code and other == ""
     assert text.startswith(start) and text.endswith(end)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["check", "--problem", "sched", "{path}", "--max-scenarios", "-5"], "--max-scenarios", -5),
+        (["check", "--problem", "sched", "{path}", "--oracle", "--max-points", "-1"], "--max-points", -1),
+        (["oracle", "--problem", "sched", "{path}", "--max-points", "-1"], "--max-points", -1),
+        (["gen-random", "--family", "system", "--count", "-2"], "--count", -2),
+    ],
+)
+def test_negative_budgets_and_counts_are_usage_errors(argv, flag, value, tmp_path, capsys):
+    path = write(tmp_path, SCHED_YES)
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: resilp {argv[0]} ")
+    assert err.endswith(f"error: argument {flag}: must not be negative: {value}\n")
+    # zero parses: a zero budget is refused only once something exceeds it
+    zero = [arg if arg != str(value) else "0" for arg in argv]
+    assert "usage:" not in run(capsys, *(arg.format(path=path) for arg in zero))[2]

@@ -8,12 +8,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from resilp import bribery, closest_string, engine
 from resilp.engine import (
     ResiliencySystem,
+    ResiliencyVerdict,
+    _rank,
     check_resiliency,
     enumerate_scenarios,
     substitute,
@@ -32,6 +36,49 @@ from resilp.ilp import (
     solve_feasibility,
 )
 from resilp.scheduling import SchedulingInstance, encode
+
+# Same instances as the sched-scaled and search-heavy benchmark workloads,
+# copied so these tests stand alone.
+SCHED_SCALED = (
+    SchedulingInstance(4, ((1, 2, 2, 3), (2, 1, 3, 1)), (5, 5), 8, 10),
+    SchedulingInstance(3, ((1, 2, 3), (2, 1, 2), (3, 3, 1)), (4, 4, 4), 6, 12),
+    SchedulingInstance(3, ((2, 2, 1), (1, 3, 3), (1, 3, 2)), (3, 3, 4), 7, 8),
+)
+BRIBERY_BA2_B2 = {
+    "candidates": 3,
+    "votes": [
+        {"order": [1, 2, 3], "count": 3},
+        {"order": [2, 1, 3], "count": 2},
+        {"order": [2, 3, 1], "count": 1},
+        {"order": [3, 1, 2], "count": 2},
+    ],
+    "scoring": [2, 1, 0],
+    "ba": 2,
+    "b": 2,
+}
+RCS_6X4 = {
+    "alphabet": ["a", "b"],
+    "strings": ["aaaaba", "aaaaab", "aaaaab", "babaaa"],
+    "d": 3,
+    "m": 2,
+}
+RCS_8X4_LATE = {
+    "alphabet": ["a", "b"],
+    "strings": ["aaabbaaa", "aaabbaba", "bbaaaaaa", "aabaaaab"],
+    "d": 3,
+    "m": 2,
+}
+
+
+def _bribery_system(doc):
+    return bribery.encode(bribery.BriberyInstance.from_dict(doc))
+
+
+def _rcs_system(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the reader renames some columns
+        inst, _ = closest_string.instance_from_dict(doc)
+    return closest_string.encode(inst)
 
 
 def _rsys(x_specs, z_specs, rows_x=(), rows_xz=(), rows_z=()):
@@ -491,3 +538,183 @@ def test_scenario_budget_raises():
     with pytest.raises(BudgetError):
         check_resiliency(sys_, max_scenarios=5)
     assert check_resiliency(sys_, max_scenarios=10).scenarios_checked == 10
+
+
+# ------------------------------------------------------------ shift memo
+
+
+def _unmemoized(system):
+    """The verdict of solving every scenario, stopping at the first without
+    an answer: enumerate_scenarios -> substitute -> solve_feasibility."""
+    checked = 0
+    sample = None
+    for scenario in enumerate_scenarios(system):
+        checked += 1
+        x_values = solve_feasibility(substitute(system, scenario))
+        if sample is None:
+            sample = (scenario, x_values)
+        if x_values is None:
+            return ResiliencyVerdict(False, scenario, checked, sample)
+    return ResiliencyVerdict(True, None, checked, sample)
+
+
+def _memo_fires(system):
+    """Whether two admissible scenarios of ``system`` share a shift: the
+    z part of every mixed row (x variables read as 0)."""
+    shifts = [
+        tuple(
+            sum(c * scenario.values.get(vid, 0) for vid, c in row.coeffs.items())
+            for row in system.rows_xz
+        )
+        for scenario in enumerate_scenarios(system)
+    ]
+    return len(set(shifts)) < len(shifts)
+
+
+def test_memo_matches_solving_every_scenario_on_the_rational_sweep():
+    from test_ilp import _random_rational_resiliency
+
+    rng = random.Random(0xF7AC)
+    fired = 0
+    for _ in range(400):
+        sys_ = _random_rational_resiliency(rng)
+        assert check_resiliency(sys_) == _unmemoized(sys_)
+        fired += _memo_fires(sys_)
+    assert fired > 40  # 52 of the 400 systems repeat a shift
+
+
+def test_memo_matches_solving_every_scenario_on_the_acceptance_suites():
+    import test_acceptance as suites
+
+    verdicts = [(system, verdict) for system, verdict in suites.raw_suite()]
+    for suite in (
+        suites.rdscp_suite, suites.rcs_suite, suites.sched_suite, suites.bribery_suite
+    ):
+        verdicts += [(system, verdict) for _, system, verdict in suite()]
+    assert len(verdicts) == 560
+    for system, verdict in verdicts:
+        assert verdict == _unmemoized(system)
+
+
+def _counting(monkeypatch):
+    """The systems ``check_resiliency`` hands the solver, from now on."""
+    calls = []
+
+    def counted(sub):
+        calls.append(sub)
+        return solve_feasibility(sub)
+
+    monkeypatch.setattr(engine, "solve_feasibility", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, solves, scenarios",
+    [
+        (lambda: _bribery_system(BRIBERY_BA2_B2), 44, 50),
+        (lambda: _rcs_system(RCS_6X4), 108, 124),
+        (lambda: encode(SCHED_SCALED[0]), 495, 495),
+    ],
+    ids=["bribery-borda-ba2-b2", "rcs-6x4-d3-m2", "sched-4x2-K8"],
+)
+def test_memo_skips_repeated_shifts_and_counts_every_scenario(
+    build, solves, scenarios, monkeypatch
+):
+    system = build()
+    expected = _unmemoized(system)
+    assert expected.resilient and expected.scenarios_checked == scenarios
+    calls = _counting(monkeypatch)
+    assert check_resiliency(system) == expected
+    assert len(calls) == solves
+
+
+def _two_dials():
+    """x = z1 + z2 on unit boxes: the shifts of (0, 1) and (1, 0) agree,
+    and (1, 1) asks for x = 2."""
+    return _rsys(
+        [("x", 0, 1)],
+        [("z1", 0, 1), ("z2", 0, 1)],
+        rows_xz=[({"x": 1, "z1": -1, "z2": -1}, Rel.EQ, 0)],
+    )
+
+
+def test_an_equal_shift_is_answered_without_a_solve(monkeypatch):
+    calls = _counting(monkeypatch)
+    verdict = check_resiliency(_two_dials())
+    assert len(calls) == 3
+    assert not verdict.resilient
+    assert verdict.witness_z.by_name() == {"z1": 1, "z2": 1}
+    assert verdict.scenarios_checked == 4
+    assert verdict.sample[0].by_name() == {"z1": 0, "z2": 0}
+    assert verdict.sample[1].by_name() == {"x": 0}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_two_dials, lambda: _bribery_system(BRIBERY_BA2_B2), lambda: _rcs_system(RCS_6X4)],
+    ids=["two-dials", "bribery-borda-ba2-b2", "rcs-6x4-d3-m2"],
+)
+def test_a_full_memo_only_costs_solves(build, monkeypatch):
+    system = build()
+    expected = check_resiliency(system)
+    monkeypatch.setattr(engine, "_MAX_SHIFTS", 1)
+    calls = _counting(monkeypatch)
+    assert check_resiliency(system) == expected
+    if build is _two_dials:  # (0, 1)'s shift is not kept, so (1, 0) is solved
+        assert len(calls) == 4
+
+
+def _sparse(dense):
+    return [tuple((j, c) for j, c in enumerate(row) if c) for row in dense]
+
+
+def test_rank_of_the_shift_rows():
+    assert _rank(_sparse([[1, 2], [2, 4]])) == 1
+    assert _rank(_sparse([[1, 2], [2, 3]])) == 2
+    assert _rank(_sparse([[1, 0, 2], [3, 0, 1], [4, 0, 3]])) == 2  # a zero column
+    assert _rank(_sparse([[0, 0], [0, 0]])) == 0
+    assert _rank([]) == 0
+    assert _rank(_sparse([[2, 4, 6], [3, 6, 9], [1, 1, 1], [0, 2, 4]])) == 2
+    assert _rank(_sparse([[6, 10, 15], [10, 15, 6], [15, 6, 10]])) == 3
+
+
+def test_rank_reads_rows_scaled_from_rationals():
+    # z1/2 + z2/3 scales by 6 to 3*z1 + 2*z2, a multiple of the second row
+    sys_ = _rsys(
+        [("x", 0, 3)],
+        [("z1", 0, 2), ("z2", 0, 3)],
+        rows_xz=[
+            ({"x": 1, "z1": Fraction(1, 2), "z2": Fraction(1, 3)}, Rel.LEQ, 3),
+            ({"x": Fraction(1, 5), "z1": 6, "z2": 4}, Rel.LEQ, 9),
+        ],
+    )
+    kernel = sys_._kernel
+    shifts = [form.shift for form, _, _ in kernel.mixed]
+    assert shifts == [((0, 3), (1, 2)), ((0, 30), (1, 20))]
+    assert _rank(shifts) == 1
+    assert kernel.shifts == shifts
+    assert check_resiliency(sys_) == _unmemoized(sys_)
+
+
+def test_the_memo_runs_only_when_shifts_can_repeat():
+    for inst in SCHED_SCALED:  # B has full column rank: 4/4, 3/3, 3/3
+        kernel = encode(inst)._kernel
+        assert kernel.shifts is None
+        assert _rank(form.shift for form, _, _ in kernel.mixed) == len(kernel.zids)
+    for system in (
+        _bribery_system(BRIBERY_BA2_B2),
+        _rcs_system(RCS_6X4),
+        _rcs_system(RCS_8X4_LATE),
+    ):
+        assert system._kernel.shifts is not None
+
+
+def test_a_system_with_no_scenario_compiles_no_kernel():
+    sys_ = _rsys(
+        [("x", 0, 1)],
+        [("z", 0, 1)],
+        rows_xz=[({"x": 1, "z": 1}, Rel.LEQ, 1)],
+        rows_z=[({"z": 1}, Rel.LEQ, -1)],
+    )
+    assert check_resiliency(sys_).scenarios_checked == 0
+    assert "_kernel" not in vars(sys_)

@@ -155,8 +155,10 @@ def error_runs():
     bound, a bare-integer string coefficient, nesting deeper than the JSON
     reader recurses, reduction sources just over the generators' member
     budget, the ``--max-patterns`` option, which no longer exists,
-    ``--aggregate-distance`` outside rcs, and ``gen --verify`` on a source
-    whose instance has more sets than the rdscp oracle takes."""
+    ``--aggregate-distance`` outside rcs, ``gen --verify`` on a source
+    whose instance has more sets than the rdscp oracle takes, and a
+    negative value for each budget or count flag.  A run whose document
+    text is ``None`` reads no document."""
     raw = ["check", "--raw"]
     yield "null-bound", raw, json.dumps(
         {"variables": [{"name": "x", "lower": 0, "upper": None}], "zvars": [], "rows": []}
@@ -191,6 +193,16 @@ def error_runs():
     yield "3dm-570-verify", ["gen", "--reduction", "3dm", "--verify"], json.dumps(
         {"n": 570, "triples": [[i, i, i] for i in range(1, 571)], "k": 1}
     )
+    yield "max-scenarios-negative", [
+        "check", "--problem", "sched", "--max-scenarios", "-5"
+    ], json.dumps(sched)
+    yield "check-max-points-negative", [
+        "check", "--problem", "sched", "--oracle", "--max-points", "-1"
+    ], json.dumps(sched)
+    yield "oracle-max-points-negative", [
+        "oracle", "--problem", "sched", "--max-points", "-1"
+    ], json.dumps(sched)
+    yield "count-negative", ["gen-random", "--family", "system", "--count", "-2"], None
 
 
 def help_runs(path: str):
@@ -228,7 +240,10 @@ def main() -> int:
         for name, argv, text in stdin_runs():
             print(f"stdin {name} {run(argv, path, stdin=text)}", flush=True)
         for name, argv, text in error_runs():
-            digest(f"error {name}", argv, text)
+            if text is None:
+                print(f"error {name} {run(argv, path)}", flush=True)
+            else:
+                digest(f"error {name}", argv, text)
         Path(path).write_text(json.dumps({"n": 1, "triples": [[1, 1, 1]], "k": 1}))
         for name, argv in help_runs(path):
             print(f"help {name} {run(argv, path)}", flush=True)
