@@ -128,19 +128,38 @@ def _options(args) -> dict:
     return {}
 
 
+# --max-points when not given: what plain box enumeration and the sched
+# oracle visit at most.
+_MAX_POINTS = 10_000_000
+
+
+def _refuse_max_points(args, *, oracle: bool, exhaustive: bool = False) -> None:
+    """``--max-points`` given where no reference decider reads it is a
+    ValidationError.  Plain box enumeration (``exhaustive``, or raw input
+    under ``oracle``) and the sched oracle read it; the other oracles have
+    budgets of their own, and the engine counts scenarios."""
+    reads = exhaustive or oracle and args.problem in (None, "sched")
+    if args.max_points is not None and not reads:
+        raise ValidationError(
+            "--max-points applies to --exhaustive, or to --raw or --problem "
+            "sched input under --oracle or oracle"
+        )
+
+
 def _reference(args, inst, system, *, exhaustive: bool = False) -> bool:
     """The reference decider's answer: plain box enumeration of the system
     for raw input or under ``exhaustive``, else the problem's own oracle."""
     from . import oracles
 
+    max_points = _MAX_POINTS if args.max_points is None else args.max_points
     if exhaustive or args.problem is None:
-        return oracles.forall_exists_oracle(system, max_points=args.max_points)
+        return oracles.forall_exists_oracle(system, max_points=max_points)
     if args.problem in ("rdscp", "policy"):
         return oracles.rdscp_oracle(inst)
     if args.problem == "rcs":
         return oracles.rcs_oracle(inst, **_options(args))
     if args.problem == "sched":
-        return oracles.sched_oracle(inst, max_points=args.max_points)
+        return oracles.sched_oracle(inst, max_points=max_points)
     return oracles.bribery_oracle(inst)
 
 
@@ -229,6 +248,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _refuse_max_points(args, oracle=args.oracle, exhaustive=args.exhaustive)
     module, inst, renaming, system = _load(args, _read_doc(args.instance))
     if system is None:
         system = module.encode(inst, **_options(args))
@@ -260,6 +280,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _refuse_max_points(args, oracle=True)
     doc = _read_doc(args.instance)
     start = time.perf_counter()
     _, inst, _, system = _load(args, doc)
@@ -363,6 +384,13 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     It is shared by every later call, so it must hold no per-call state:
     defaults stay immutable and no action keeps what it parsed.
     """
+    max_points = dict(
+        type=_count, default=None,
+        help="box points (sched: delay-and-assignment pairs) that "
+             "--exhaustive, or the oracle on --raw or sched input, enumerates "
+             "at most; exit 2 past it, or when given where nothing enumerates "
+             f"(default {_MAX_POINTS})",
+    )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "text"), default="json",
@@ -396,8 +424,10 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
                      help="also run plain box enumeration on the system; exit 3 on mismatch")
     chk.add_argument("--decode", action="store_true",
                      help="attach a human-readable witness or sample solution")
-    chk.add_argument("--max-scenarios", type=_count, default=1_000_000)
-    chk.add_argument("--max-points", type=_count, default=10_000_000)
+    chk.add_argument("--max-scenarios", type=_count, default=1_000_000,
+                     help="scenarios the engine checks at most; exit 2 past "
+                          "it (default 1000000)")
+    chk.add_argument("--max-points", **max_points)
     chk.add_argument("--aggregate-distance", action="store_true",
                      help="rcs only: one total-distance row instead of per-row rows")
     chk.set_defaults(func=cmd_check)
@@ -408,7 +438,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     which.add_argument("--problem", choices=PROBLEMS)
     which.add_argument("--raw", action="store_true")
     orc.add_argument("instance", help="JSON file, or - for stdin")
-    orc.add_argument("--max-points", type=_count, default=10_000_000)
+    orc.add_argument("--max-points", **max_points)
     orc.add_argument("--aggregate-distance", action="store_true",
                      help="rcs only: one total distance instead of one per string")
     orc.set_defaults(func=cmd_oracle)

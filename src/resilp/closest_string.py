@@ -262,6 +262,16 @@ def _xname(cells: Sequence[str], symbol: str) -> str:
     return f"x[{_tkey(cells)},{symbol}]"
 
 
+def _census(
+    matrix: StringMatrix, types: Sequence[Tuple[str, ...]]
+) -> Dict[Tuple[str, ...], int]:
+    """The number of ``matrix`` columns of each of ``types``, zeros kept."""
+    census = {t: 0 for t in types}
+    for ct in column_types(matrix):
+        census[ct.cells] = ct.count
+    return census
+
+
 _MAX_K = 4
 
 
@@ -283,9 +293,7 @@ def encode(inst: RcsInstance, *, per_row_distance: bool = True) -> ResiliencySys
         raise BudgetError(f"{k} rows exceed the type budget (k <= {_MAX_K})")
     alphabet = inst.matrix.alphabet
     types = all_types(k, alphabet)
-    census = {t: 0 for t in types}
-    for ct in column_types(inst.matrix):
-        census[ct.cells] = ct.count
+    census = _census(inst.matrix, types)
 
     z_vars, outflow, arrivals, spend = transfer(
         types, _zname, _cname, census.get, L, type_distance, inst.m
@@ -348,9 +356,7 @@ def decode_scenario(inst: RcsInstance, scenario: IntAssignment) -> StringMatrix:
     if set(values) != expected:
         raise ScenarioError("scenario names do not match the type variables")
 
-    census = {t: 0 for t in types}
-    for ct in column_types(inst.matrix):
-        census[ct.cells] = ct.count
+    census = _census(inst.matrix, types)
     try:
         flows = read_transfer(
             values, types, _zname, _cname, census.get, type_distance, inst.m

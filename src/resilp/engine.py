@@ -27,10 +27,12 @@ base - shift.  So ``check_resiliency`` keeps, for one call, the shifts of
 the scenarios it found feasible, and counts a later scenario with an equal
 shift as checked without substituting or solving it.  Only feasible shifts
 are kept, so the first failing scenario is always solved and becomes the
-witness.  Two distinct z share a shift only when B's columns are linearly
-dependent, so the memo runs only when the rank of B is below the number of
-z variables (computed once per kernel); it stops growing at
-``_MAX_SHIFTS`` keys, past which a new shift is simply solved.
+witness.  The memo runs only when the kernel has fewer mixed rows than z
+variables: then B's columns are linearly dependent, so two distinct z can
+share a shift.  With at least as many rows it is off: that covers every B
+of full column rank, where each shift is new, and a dependent B it misses
+only costs solves.  It stops growing
+at ``_MAX_SHIFTS`` keys, past which a new shift is simply solved.
 
 Each block is indexed densely from zero so that both the z subsystem and
 the substituted x system are well-formed :class:`~resilp.ilp.LinearSystem`
@@ -39,7 +41,6 @@ values; variable names stay unique across the whole system.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Tuple
@@ -128,10 +129,8 @@ class _Kernel:
     ints.  The watch lists cover the x rows and then the mixed rows, in
     the layout :func:`substitute` emits them.
 
-    ``shifts`` holds each mixed row's shift items when two distinct
-    scenarios can share a shift (B's rank is below the number of z
-    variables), else ``None``: then every shift is new and the scenario
-    loop keeps no memo.
+    ``shifts`` holds each mixed row's shift items when the shift memo runs
+    (see the module docstring), else ``None``.
     """
 
     def __init__(self, system: ResiliencySystem):
@@ -154,11 +153,8 @@ class _Kernel:
         self.watch = _watch(
             len(system.x_vars), xforms + [form for form, _, _ in self.mixed]
         )
-        # The rank is at most the row count, so with fewer mixed rows than
-        # z variables the elimination is not needed.
         shifts = [form.shift for form, _, _ in self.mixed]
-        n = len(self.zids)
-        self.shifts = shifts if len(shifts) < n or _rank(shifts) < n else None
+        self.shifts = shifts if len(shifts) < len(self.zids) else None
 
     def admitted(self, scenario: IntAssignment) -> Optional[list]:
         """The scenario's z values in index order, or ``None`` when it is
@@ -176,38 +172,6 @@ class _Kernel:
         ):
             return z
         return None
-
-
-def _rank(rows) -> int:
-    """Rank of an int matrix given by sparse rows ``((column, coeff), ...)``.
-
-    Fraction-free elimination: each step takes a pivot row p with a
-    nonzero entry in column k and replaces every other row r that reads k
-    by ``p[k] * r - r[k] * p``, so every entry stays an int; a row is then
-    divided by the gcd of its entries to keep them small.
-    """
-    rows = [dict(row) for row in rows]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        if not any(pivot.values()):
-            continue
-        rank += 1
-        k, p = next((j, c) for j, c in pivot.items() if c)
-        rest = []
-        for row in rows:
-            c = row.get(k)
-            if c:
-                row = {
-                    j: v
-                    for j in row.keys() | pivot.keys()
-                    if (v := p * row.get(j, 0) - c * pivot.get(j, 0))
-                }
-                g = math.gcd(*row.values())
-                row = {j: v // g for j, v in row.items()}
-            rest.append(row)
-        rows = rest
-    return rank
 
 
 class ResiliencyVerdict(Value):
@@ -282,9 +246,8 @@ def check_resiliency(
 
     A scenario whose shift B*z equals that of a scenario already found
     feasible is counted as checked and not solved again (see the module
-    docstring: only feasible shifts are kept, only when B's rank allows a
-    repeat, at most ``_MAX_SHIFTS`` of them, and only for this call).  The
-    verdict, witness, count and sample are those of solving every scenario.
+    docstring).  The verdict, witness, count and sample are those of
+    solving every scenario.
     """
     checked = 0
     sample = None

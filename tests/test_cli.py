@@ -202,6 +202,29 @@ def test_check_scenario_budget_exits_2(tmp_path, capsys):
         assert code == 2 and out == "" and message in err, argv
 
 
+RCS_SMALL = {"alphabet": ["a", "b"], "strings": ["aa", "ab"], "d": 1, "m": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["oracle", "--problem", "rcs"], RCS_SMALL),
+        (["check", "--problem", "rcs", "--oracle"], RCS_SMALL),
+        (["check", "--problem", "sched"], SCHED_YES),
+    ],
+    ids=["oracle-rcs", "check-rcs-oracle", "check-sched"],
+)
+def test_max_points_where_nothing_enumerates_is_refused(argv, doc, tmp_path, capsys):
+    argv = [*argv, write(tmp_path, doc)]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--max-points", "0")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --max-points applies to --exhaustive, or to --raw or --problem "
+        "sched input under --oracle or oracle\n"
+    )
+
+
 @pytest.mark.filterwarnings("ignore:columns renamed during normalization")
 def test_aggregate_distance_reaches_encoder_and_oracle(tmp_path, capsys):
     # after any one changed cell some center is within 1 of every string,

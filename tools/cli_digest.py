@@ -156,8 +156,9 @@ def error_runs():
     reader recurses, reduction sources just over the generators' member
     budget, the ``--max-patterns`` option, which no longer exists,
     ``--aggregate-distance`` outside rcs, ``gen --verify`` on a source
-    whose instance has more sets than the rdscp oracle takes, and a
-    negative value for each budget or count flag.  A run whose document
+    whose instance has more sets than the rdscp oracle takes, a
+    negative value for each budget or count flag, and ``--max-points``
+    where no enumeration reads it.  A run whose document
     text is ``None`` reads no document."""
     raw = ["check", "--raw"]
     yield "null-bound", raw, json.dumps(
@@ -201,6 +202,14 @@ def error_runs():
     ], json.dumps(sched)
     yield "oracle-max-points-negative", [
         "oracle", "--problem", "sched", "--max-points", "-1"
+    ], json.dumps(sched)
+    rcs = json.dumps({"alphabet": ["a", "b"], "strings": ["aa", "ab"], "d": 1, "m": 1})
+    yield "oracle-rcs-max-points", ["oracle", "--problem", "rcs", "--max-points", "0"], rcs
+    yield "check-rcs-oracle-max-points", [
+        "check", "--problem", "rcs", "--oracle", "--max-points", "0"
+    ], rcs
+    yield "check-sched-max-points", [
+        "check", "--problem", "sched", "--max-points", "0"
     ], json.dumps(sched)
     yield "count-negative", ["gen-random", "--family", "system", "--count", "-2"], None
 
