@@ -262,11 +262,16 @@ def cmd_check(args) -> int:
     }
     code = 0 if verdict.resilient else 1
 
+    answers = {}
     for key, wanted in (("oracle", args.oracle), ("exhaustive", args.exhaustive)):
         if not wanted:
             continue
-        answer = _reference(args, inst, system, exhaustive=key == "exhaustive")
-        report[key] = answer
+        # raw input has no oracle of its own: --oracle runs the same plain
+        # enumeration as --exhaustive, so one run answers both keys
+        plain = key == "exhaustive" or args.problem is None
+        if plain not in answers:
+            answers[plain] = _reference(args, inst, system, exhaustive=plain)
+        answer = report[key] = answers[plain]
         if answer != verdict.resilient:
             print(
                 f"disagreement: engine={verdict.resilient} {key}={answer}",

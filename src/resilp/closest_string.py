@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import islice, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import ResiliencySystem
 from .errors import (
@@ -147,14 +147,11 @@ def denormalize_rows(
     return tuple(out)
 
 
-class ColumnType(Value):
+class ColumnType(NamedTuple):
     """One distinct normalized column, with its multiplicity in the input."""
 
-    _fields = ("cells", "count")
-
-    def __init__(self, cells: Tuple[str, ...], count: int):
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "count", count)
+    cells: Tuple[str, ...]
+    count: int
 
 
 def column_types(matrix: StringMatrix) -> Tuple[ColumnType, ...]:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .errors import BudgetError, DomainError, ScenarioError, ValidationError
 from .ilp import (
@@ -129,8 +129,8 @@ class _Kernel:
     ints.  The watch lists cover the x rows and then the mixed rows, in
     the layout :func:`substitute` emits them.
 
-    ``shifts`` holds each mixed row's shift items when the shift memo runs
-    (see the module docstring), else ``None``.
+    ``shifts`` holds each mixed row's shift items, ``(z VarId, coeff)``,
+    when the shift memo runs (see the module docstring), else ``None``.
     """
 
     def __init__(self, system: ResiliencySystem):
@@ -153,8 +153,12 @@ class _Kernel:
         self.watch = _watch(
             len(system.x_vars), xforms + [form for form, _, _ in self.mixed]
         )
-        shifts = [form.shift for form, _, _ in self.mixed]
-        self.shifts = shifts if len(shifts) < len(self.zids) else None
+        self.shifts = None
+        if len(self.mixed) < len(self.zids):
+            self.shifts = [
+                [(self.zids[j], c) for j, c in form.shift]
+                for form, _, _ in self.mixed
+            ]
 
     def admitted(self, scenario: IntAssignment) -> Optional[list]:
         """The scenario's z values in index order, or ``None`` when it is
@@ -174,7 +178,7 @@ class _Kernel:
         return None
 
 
-class ResiliencyVerdict(Value):
+class ResiliencyVerdict(NamedTuple):
     """Outcome of a resiliency check.
 
     ``witness_z`` is the lexicographically first failing scenario when not
@@ -185,19 +189,10 @@ class ResiliencyVerdict(Value):
     scenario has no answer), or ``None`` when there is no scenario.
     """
 
-    _fields = ("resilient", "witness_z", "scenarios_checked", "sample")
-
-    def __init__(
-        self,
-        resilient: bool,
-        witness_z: Optional[IntAssignment],
-        scenarios_checked: int,
-        sample: Optional[Tuple[IntAssignment, Optional[IntAssignment]]] = None,
-    ):
-        object.__setattr__(self, "resilient", resilient)
-        object.__setattr__(self, "witness_z", witness_z)
-        object.__setattr__(self, "scenarios_checked", scenarios_checked)
-        object.__setattr__(self, "sample", sample)
+    resilient: bool
+    witness_z: Optional[IntAssignment]
+    scenarios_checked: int
+    sample: Optional[Tuple[IntAssignment, Optional[IntAssignment]]] = None
 
 
 def enumerate_scenarios(system: ResiliencySystem) -> Iterator[IntAssignment]:
@@ -264,9 +259,8 @@ def check_resiliency(
             shifts = system._kernel.shifts
             seen = set()
         if shifts is not None:
-            # iter_feasible lays the values out in index order
-            z = list(scenario.values.values())
-            key = tuple([sum(c * z[j] for j, c in items) for items in shifts])
+            z = scenario.values
+            key = tuple([sum(c * z[vid] for vid, c in items) for items in shifts])
             if key in seen:
                 continue
         x_values = solve_feasibility(substitute(system, scenario))

@@ -82,7 +82,11 @@ class Rel(str, Enum):
 
 
 class Value:
-    """Base of resilp's immutable value classes.
+    """Base of resilp's immutable value classes that check their fields.
+
+    A record whose constructor checks nothing is a ``typing.NamedTuple``
+    instead (:class:`VarId`, :class:`Violation`), which hashes and
+    compares in C and equals a plain tuple with the same items.
 
     A subclass names its fields, in order, in ``_fields``; its
     ``__init__`` checks its arguments and stores each field once with
@@ -119,43 +123,12 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class VarId(Value):
+class VarId(NamedTuple):
     """A variable: dense index within its system plus a unique name,
     ordered by ``(index, name)``."""
 
-    _fields = ("index", "name")
-
-    def __init__(self, index: int, name: str):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.index, self.name) == (other.index, other.name)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.index, self.name))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.index, self.name) < (other.index, other.name)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.index, self.name) <= (other.index, other.name)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.index, self.name) > (other.index, other.name)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.index, self.name) >= (other.index, other.name)
-        return NotImplemented
+    index: int
+    name: str
 
 
 class VarBounds(Value):
@@ -278,17 +251,14 @@ class IntAssignment(Value):
         return {vid.name: v for vid, v in sorted(self.values.items())}
 
 
-class Violation(Value):
+class Violation(NamedTuple):
     """First failed constraint found by :func:`evaluate`.
 
     Exactly one of ``row`` (row index) and ``var`` (box bound) is set.
     """
 
-    _fields = ("row", "var")
-
-    def __init__(self, row: Optional[int] = None, var: Optional[VarId] = None):
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "var", var)
+    row: Optional[int] = None
+    var: Optional[VarId] = None
 
     def __str__(self):
         if self.row is not None:
@@ -331,7 +301,7 @@ def evaluate(system: LinearSystem, assignment: IntAssignment) -> Optional[Violat
 _FALSE = ((), -1)  # a search row no point meets: 0 <= -1
 
 
-class _IntRow:
+class _IntRow(NamedTuple):
     """One row times the LCM of all its denominators, ready to become
     search rows for any right-hand side.
 
@@ -340,18 +310,14 @@ class _IntRow:
     their gcd ``g``; an ``=`` row also holds the same items negated.
     ``shift`` holds the scaled items over the variables that are folded
     into the right-hand side instead (not divided by ``g``), ``rhs`` the
-    scaled right-hand side and ``scale`` the LCM.  Not a :class:`Value`:
-    it is never compared, hashed or printed.
+    scaled right-hand side and ``scale`` the LCM.
     """
 
-    __slots__ = ("sides", "g", "shift", "rhs", "scale")
-
-    def __init__(self, sides, g, shift, rhs, scale):
-        self.sides = sides
-        self.g = g
-        self.shift = shift
-        self.rhs = rhs
-        self.scale = scale
+    sides: tuple
+    g: int
+    shift: tuple
+    rhs: int
+    scale: int
 
     def search_rows(self, rhs: int) -> list:
         """The search rows, all ``<=``, for this row against ``rhs``: an int

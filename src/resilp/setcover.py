@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .engine import ResiliencySystem
 from .errors import BudgetError, ScenarioError, ValidationError
@@ -71,14 +71,11 @@ class RdscpInstance(Value):
         }
 
 
-class FamilyGroup(Value):
+class FamilyGroup(NamedTuple):
     """All copies of one set content; ``copies`` are family indices."""
 
-    _fields = ("content", "copies")
-
-    def __init__(self, content: frozenset, copies: Tuple[int, ...]):
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "copies", copies)
+    content: frozenset
+    copies: Tuple[int, ...]
 
     @property
     def multiplicity(self) -> int:

@@ -298,6 +298,24 @@ def test_oracle_raw_answers_as_exhaustive_check(pinned_x, expected, tmp_path, ca
     assert json.loads(out)["answer"] is json.loads(check_out)["exhaustive"]
 
 
+def test_raw_oracle_and_exhaustive_share_one_enumeration(tmp_path, capsys, monkeypatch):
+    import resilp.oracles as oracles
+
+    path = write(tmp_path, _raw_system(1))
+    calls = []
+    plain = oracles.forall_exists_oracle
+
+    def counted(system, **kw):
+        calls.append(system)
+        return plain(system, **kw)
+
+    monkeypatch.setattr(oracles, "forall_exists_oracle", counted)
+    code, out, _ = run(capsys, "check", "--raw", path, "--oracle", "--exhaustive")
+    assert code == 1 and len(calls) == 1
+    report = json.loads(out)
+    assert report["oracle"] is report["exhaustive"] is False
+
+
 @pytest.mark.parametrize("doc", [SCHED_YES, SCHED_NO])
 def test_encoded_system_reads_from_stdin(doc, tmp_path, capsys, monkeypatch):
     path = write(tmp_path, doc)

@@ -690,6 +690,10 @@ def test_the_memo_runs_only_when_shifts_can_repeat():
         _rcs_system(RCS_8X4_LATE),
     ):
         assert system._kernel.shifts is not None
+    # the memo key reads only the z variables B reads: 11 of rcs-6x4's 132
+    kernel = _rcs_system(RCS_6X4)._kernel
+    read = {vid for items in kernel.shifts for vid, _ in items}
+    assert read <= kernel.zkeys and (len(read), len(kernel.zids)) == (11, 132)
 
 
 def test_a_system_with_no_scenario_compiles_no_kernel():

@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from resilp.closest_string import ColumnType
 from resilp.engine import (
     ResiliencySystem,
+    ResiliencyVerdict,
     check_resiliency,
     enumerate_scenarios,
     substitute,
@@ -39,6 +41,7 @@ from resilp.ilp import (
     solve_feasibility,
 )
 from resilp.oracles import forall_exists_oracle
+from resilp.setcover import FamilyGroup
 
 
 def _brute_points(system):
@@ -503,6 +506,9 @@ def test_row_and_assignment_name_a_bad_key_or_value():
         IntAssignment({VarId(0, "x"): 1.0})
 
 def test_system_validates_density_and_names():
+    # a bare VarId unpacks as (index, name), which is not a pair either
+    with pytest.raises(ValidationError, match=r"\(VarId, VarBounds\) pairs"):
+        LinearSystem((VarId(0, "x"), VarId(1, "y")), ())
     with pytest.raises(ValidationError):
         LinearSystem(((VarId(1, "x"), VarBounds(0, 1)),), ())
     with pytest.raises(ValidationError):
@@ -603,12 +609,29 @@ def test_value_classes_compare_hash_print_and_stay_frozen():
     assert Violation() == Violation(row=None, var=None) != Violation(row=0)
     assert repr(x) == "VarId(index=0, name='x')"
     assert repr(Violation(row=2)) == "Violation(row=2, var=None)"
+    assert str(Violation(var=x)) == "bound of 'x' violated"
+    verdict = ResiliencyVerdict(True, None, 3)
+    assert verdict.sample is None and verdict == ResiliencyVerdict(True, None, 3, None)
+    assert repr(verdict) == (
+        "ResiliencyVerdict(resilient=True, witness_z=None, scenarios_checked=3, "
+        "sample=None)"
+    )
+    # a record that checks nothing is a NamedTuple: on purpose, it equals
+    # and hashes as the plain tuple of its fields, and unpacks as one
+    column = ColumnType(("a", "b"), 2)
+    assert x == (0, "x") and Violation(row=2) == (2, None) and column == (("a", "b"), 2)
+    index, name = x
+    assert (index, name) == (0, "x")
+    group = FamilyGroup(frozenset({1}), (0, 2))
+    assert group.multiplicity == 2
+    records = ((Violation(row=0), "row"), (verdict, "sample"), (column, "count"))
+    records += ((group, "copies"), (_int_row(LinearRow({x: 1}, Rel.LEQ, 1)), "rhs"))
     point = IntAssignment({x: 1})
     with pytest.raises(TypeError):
         hash(point)  # a dict field leaves the value unhashable
     system = LinearSystem(make_vars([("x", 0, 1)]), ())
     assert system == LinearSystem(make_vars([("x", 0, 1)]), ())
-    for value, field in ((x, "index"), (point, "values"), (system, "rows")):
+    for value, field in ((x, "index"), (point, "values"), (system, "rows")) + records:
         with pytest.raises(AttributeError):
             setattr(value, field, None)
         with pytest.raises(AttributeError):

@@ -140,13 +140,15 @@ def check_runs():
 
 def stdin_runs():
     """(label, argv, standard input) for the raw commands reading ``-``:
-    ``check --raw -`` and ``oracle --raw -`` on what ``encode --problem
-    sched -`` prints for the perfbench document ``sched-001``, whose box is
-    small enough for the oracle's plain enumeration."""
+    ``check --raw -`` (also with ``--oracle --exhaustive``) and ``oracle
+    --raw -`` on what ``encode --problem sched -`` prints for the perfbench
+    document ``sched-001``, whose box is small enough for the oracle's
+    plain enumeration."""
     doc = next(doc for iid, _, doc in workloads.all_instances() if iid == "sched-001")
     code, system, err = call(["encode", "--problem", "sched", "-"], json.dumps(doc))
     assert code == 0, err
     yield "check-raw", ["check", "--raw", "-"], system
+    yield "check-raw-both", ["check", "--raw", "-", "--oracle", "--exhaustive"], system
     yield "oracle-raw", ["oracle", "--raw", "-"], system
 
 
