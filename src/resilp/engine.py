@@ -13,13 +13,26 @@ stops at the first failing scenario, which becomes the witness.  An empty
 scenario set (the adversary has no admissible move at all) is vacuously
 resilient with zero scenarios checked.
 
+``enumerate_scenarios`` runs the search of :mod:`resilp.ilp` (the walk
+``iter_feasible`` also runs) on the compiled z rows, with the defined z
+variables left out.  A z variable v is defined when exactly one z row
+reads it, that row is an ``=`` row, v's compiled coefficient there is 1
+or -1, every other variable of the row comes before v, and the row's
+other boxes put v inside its own box, so the row never cuts.  Such a v
+has one value for each point of the others, and two points never first
+differ at v.  So the walk holds v's box at one value, drops its row and
+computes v at each leaf: the points and their order are those of the full
+search.  The census variables of ``ilp.transfer`` blocks are defined.
+
 Each partitioned system is compiled once, on first use, into an integer
-kernel: the x rows and z rows become fixed search rows, and each mixed row
-a scaled x part, a scaled z part and a scaled base right-hand side.  Per
-scenario, ``substitute`` checks admissibility and computes
-rhs = base - B*z in ints, and hands the solver those rows with the
-substituted system; ``evaluate`` runs only to name a rejected scenario's
-first violation.
+kernel: the x rows become fixed search rows, and each mixed row a scaled
+x part, a scaled z part and a scaled base right-hand side.  Per
+scenario, ``substitute`` computes rhs = base - B*z in ints, and hands the
+solver those rows with the substituted system.  A scenario whose z
+values equal the point the system's walk last yielded is admissible by
+construction and is not checked again.  Any other scenario, including a
+yielded one whose values were changed afterwards, is checked in full by
+``evaluate`` against the z system, which also names its first violation.
 
 The x side sees a scenario only through its shift B*z, the z terms of the
 mixed rows: the x rows and x boxes stay fixed, and each mixed row's rhs is
@@ -50,14 +63,15 @@ from .ilp import (
     IntAssignment,
     LinearRow,
     LinearSystem,
+    Rel,
     Value,
     VarBounds,
     VarId,
     _int_row,
     _Search,
+    _walk,
     _watch,
     evaluate,
-    iter_feasible,
     solve_feasibility,
 )
 
@@ -116,8 +130,62 @@ class ResiliencySystem(Value):
         return self._zsys
 
     @cached_property
+    def _zwalk(self) -> "_ZWalk":
+        return _ZWalk(self.z_system())
+
+    @cached_property
     def _kernel(self) -> "_Kernel":
         return _Kernel(self)
+
+
+class _ZWalk:
+    """The z search of a :class:`ResiliencySystem` as
+    :func:`enumerate_scenarios` walks it: the compiled z rows without the
+    rows of defined variables, and the z boxes with each defined variable
+    held at one value (see the module docstring).
+
+    ``defined`` holds ``(v, c, rhs, rest)`` per defined variable, in index
+    order, for v = c * (rhs - rest·z).  ``last`` is the point the walk
+    most recently yielded, which :func:`substitute` need not check.
+    """
+
+    def __init__(self, zsys: LinearSystem):
+        rows, watch = zsys._search
+        self.zids = [vid for vid, _ in zsys.variables]
+        self.lo = lo = [b.lower for _, b in zsys.variables]
+        self.hi = hi = [b.upper for _, b in zsys.variables]
+        self.defined = []
+        self.last = None
+        dropped = []
+        p = 0  # a <= row compiles to one search row, an = row to two
+        for row in zsys.rows:
+            if row.rel is Rel.LEQ:
+                p += 1
+                continue
+            (items, q), p = rows[p], p + 2
+            if not items:  # no variable, or an always-false pair
+                continue
+            v, c = items[-1]
+            rest = items[:-1]
+            low = sum(a * (lo[j] if a > 0 else hi[j]) for j, a in rest)
+            high = sum(a * (hi[j] if a > 0 else lo[j]) for j, a in rest)
+            least, most = sorted((c * (q - low), c * (q - high)))
+            if (
+                c in (1, -1)
+                and watch[v] == [p - 2, p - 1]
+                and lo[v] <= least
+                and most <= hi[v]
+            ):
+                self.defined.append((v, c, q, rest))
+                dropped += watch[v]
+                hi[v] = lo[v]
+        self.defined.sort()
+        if dropped:
+            kept = [r for r in range(len(rows)) if r not in dropped]
+            at = {r: i for i, r in enumerate(kept)}
+            rows = [rows[r] for r in kept]
+            watch = [[at[r] for r in w if r in at] for w in watch]
+        self.rows, self.watch = rows, watch
 
 
 class _Kernel:
@@ -137,7 +205,6 @@ class _Kernel:
         self.zsys = system.z_system()
         self.zids = [vid for vid, _ in system.z_vars]
         self.zkeys = set(self.zids)
-        self.zbox = [(b.lower, b.upper) for _, b in system.z_vars]
         xforms = [_int_row(row) for row in system.rows_x]
         self.x_rows = [r for form in xforms for r in form.search_rows(form.rhs)]
         # (compiled row, x coefficients, relation) per mixed row; the x
@@ -160,23 +227,6 @@ class _Kernel:
                 for form, _, _ in self.mixed
             ]
 
-    def admitted(self, scenario: IntAssignment) -> Optional[list]:
-        """The scenario's z values in index order, or ``None`` when it is
-        not admissible.  Checked in ints: the domain, then the compiled z
-        rows, then the z boxes."""
-        values = scenario.values
-        if values.keys() != self.zkeys:
-            return None
-        z = [values[vid] for vid in self.zids]
-        if all(
-            sum(c * z[j] for j, c in items) <= rhs
-            for items, rhs in self.zsys._search.rows
-        ) and all(
-            lower <= v <= upper for v, (lower, upper) in zip(z, self.zbox)
-        ):
-            return z
-        return None
-
 
 class ResiliencyVerdict(NamedTuple):
     """Outcome of a resiliency check.
@@ -198,7 +248,13 @@ class ResiliencyVerdict(NamedTuple):
 def enumerate_scenarios(system: ResiliencySystem) -> Iterator[IntAssignment]:
     """Every integral z-box point satisfying all z-only rows, each exactly
     once, in lexicographic order of z values (variables in index order)."""
-    return iter_feasible(system.z_system())
+    walk = system._zwalk
+    zids, defined = walk.zids, walk.defined
+    for z in _walk(walk.rows, walk.watch, walk.lo.copy(), walk.hi.copy()):
+        for v, c, q, rest in defined:
+            z[v] = c * (q - sum(a * z[j] for j, a in rest))
+        walk.last = z
+        yield IntAssignment(dict(zip(zids, z)))
 
 
 def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSystem:
@@ -210,15 +266,19 @@ def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSyste
     moves.  x boxes are unchanged.
     """
     kernel = system._kernel
-    z = kernel.admitted(scenario)
-    if z is None:
-        # evaluate names the first violation for the message; only a
-        # rejected scenario pays for it.
+    values = scenario.values
+    z = None
+    if values.keys() == kernel.zkeys:
+        z = [values[vid] for vid in kernel.zids]
+    if z is None or z != system._zwalk.last:
+        # Only the point the walk just yielded is admissible by
+        # construction; evaluate checks any other and names its violation.
         try:
             violation = evaluate(kernel.zsys, scenario)
         except DomainError as exc:
             raise ScenarioError(f"bad scenario domain: {exc}") from exc
-        raise ScenarioError(f"scenario is not admissible: {violation}")
+        if violation is not None:
+            raise ScenarioError(f"scenario is not admissible: {violation}")
     rows = list(kernel.x_rows)
     folded = []
     for form, xcoeffs, rel in kernel.mixed:

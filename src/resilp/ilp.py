@@ -441,39 +441,46 @@ def _branches(lo, hi, k):
         yield nlo, nhi, k
 
 
+def _walk(rows, watch, lo, hi) -> Iterator[list]:
+    """Every point of the box ``lo``..``hi`` that meets the search ``rows``,
+    as an int list, in lexicographic order.
+
+    The walk takes ``lo`` and ``hi`` over and changes them; each point it
+    yields is a list of its own, which the caller may keep or change.
+    """
+    n = len(lo)
+    # One lazy child iterator per open level: the top one yields the next
+    # sibling to visit, so points come out in lexicographic order and only
+    # the boxes on the current path are held in memory.  A box carries the
+    # variable its parent branched on (-1 at the root).
+    stack = [iter([(lo, hi, -1)])]
+    while stack:
+        box = next(stack[-1], None)
+        if box is None:
+            stack.pop()
+            continue
+        lo, hi, k = box
+        # A child box is its parent's fixpoint with variable k fixed, so
+        # only the rows that read k need scanning first.
+        todo = watch[k] if k >= 0 else range(len(rows))
+        if not _propagate(rows, watch, lo, hi, todo):
+            continue
+        # Variables before k were fixed at the parent; k is fixed now.
+        k = next((i for i in range(k + 1, n) if lo[i] < hi[i]), None)
+        if k is None:
+            yield lo
+        else:
+            stack.append(_branches(lo, hi, k))
+
+
 def iter_feasible(system: LinearSystem) -> Iterator[IntAssignment]:
     """All feasible points, in lexicographic order of variable values."""
     rows, watch = system._search
     varids = [vid for vid, _ in system.variables]
-    lo0 = [bounds.lower for _, bounds in system.variables]
-    hi0 = [bounds.upper for _, bounds in system.variables]
-    n = len(varids)
-
-    def search():
-        # One lazy child iterator per open level: the top one yields the
-        # next sibling to visit, so points come out in lexicographic order
-        # and only the boxes on the current path are held in memory.  A box
-        # carries the variable its parent branched on (-1 at the root).
-        stack = [iter([(lo0, hi0, -1)])]
-        while stack:
-            box = next(stack[-1], None)
-            if box is None:
-                stack.pop()
-                continue
-            lo, hi, k = box
-            # A child box is its parent's fixpoint with variable k fixed,
-            # so only the rows that read k need scanning first.
-            todo = watch[k] if k >= 0 else range(len(rows))
-            if not _propagate(rows, watch, lo, hi, todo):
-                continue
-            # Variables before k were fixed at the parent; k is fixed now.
-            k = next((i for i in range(k + 1, n) if lo[i] < hi[i]), None)
-            if k is None:
-                yield IntAssignment({varids[i]: lo[i] for i in range(n)})
-            else:
-                stack.append(_branches(lo, hi, k))
-
-    return search()
+    lo = [bounds.lower for _, bounds in system.variables]
+    hi = [bounds.upper for _, bounds in system.variables]
+    points = _walk(rows, watch, lo, hi)
+    return (IntAssignment(dict(zip(varids, z))) for z in points)
 
 
 def solve_feasibility(system: LinearSystem) -> Optional[IntAssignment]:

@@ -4,7 +4,10 @@ import argparse
 import io
 import json
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -692,3 +695,17 @@ def test_negative_budgets_and_counts_are_usage_errors(argv, flag, value, tmp_pat
     # zero parses: a zero budget is refused only once something exceeds it
     zero = [arg if arg != str(value) else "0" for arg in argv]
     assert "usage:" not in run(capsys, *(arg.format(path=path) for arg in zero))[2]
+
+
+def test_the_cli_prints_what_the_committed_digest_records():
+    """``tools/cli_digest.py --check``: every run it makes prints what
+    ``tools/cli_digest.txt`` records.  A change that means to change an
+    output writes that file again."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    done = subprocess.run(
+        [sys.executable, str(tool), "--check"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]

@@ -705,3 +705,160 @@ def test_a_system_with_no_scenario_compiles_no_kernel():
     )
     assert check_resiliency(sys_).scenarios_checked == 0
     assert "_kernel" not in vars(sys_)
+
+
+# ---------------------------------------------------- z walk and defined z
+
+
+def _full_search(system):
+    """The z points of the full z search, defined variables included."""
+    return [a.values for a in iter_feasible(system.z_system())]
+
+
+def _walked(system):
+    return [s.values for s in enumerate_scenarios(system)]
+
+
+def test_the_walk_matches_the_full_z_search_on_the_rational_sweep():
+    from test_ilp import _random_rational_resiliency
+
+    rng = random.Random(0xF7AC)
+    defining = 0
+    for _ in range(400):
+        sys_ = _random_rational_resiliency(rng)
+        assert _walked(sys_) == _full_search(sys_)
+        defining += bool(sys_._zwalk.defined)
+    assert defining >= 10  # 10 of the 400 systems have a defined variable
+
+
+def test_the_walk_matches_the_full_z_search_on_the_acceptance_suites():
+    import test_acceptance as suites
+
+    systems = [system for system, _ in suites.raw_suite()]
+    for suite in (
+        suites.rdscp_suite, suites.rcs_suite, suites.sched_suite, suites.bribery_suite
+    ):
+        systems += [system for _, system, _ in suite()]
+    assert len(systems) == 560
+    for system in systems:
+        assert _walked(system) == _full_search(system)
+    assert sum(bool(system._zwalk.defined) for system in systems) == 161
+
+
+@pytest.mark.parametrize(
+    "build, defined, points",
+    [
+        (lambda: encode(SCHED_SCALED[0]), 0, 495),
+        (lambda: encode(SCHED_SCALED[1]), 0, 84),
+        (lambda: encode(SCHED_SCALED[2]), 0, 120),
+        (lambda: _bribery_system(BRIBERY_BA2_B2), 6, 50),
+        (lambda: _rcs_system(RCS_6X4), 11, 124),
+        (lambda: _rcs_system(RCS_8X4_LATE), 11, 190),
+        (lambda: _rcs_system({**RCS_8X4_LATE, "d": 4, "m": 4}), 11, 6768),
+    ],
+    ids=[
+        "sched-4x2-K8",
+        "sched-3x3-K6",
+        "sched-3x3-K7-late",
+        "bribery-borda-ba2-b2",
+        "rcs-6x4-d3-m2",
+        "rcs-8x4-d3-m2-late",
+        "rcs-8x4-d4-m4",
+    ],
+)
+def test_the_walk_computes_the_census_and_yields_the_full_search(
+    build, defined, points
+):
+    system = build()
+    # the census variables of the transfer block, which are all B reads
+    walk = system._zwalk
+    assert len(walk.defined) == defined
+    if defined:
+        read = {vid for items in system._kernel.shifts for vid, _ in items}
+        assert {walk.zids[v] for v, *_ in walk.defined} == read
+    walked = _walked(system)
+    assert len(walked) == points
+    assert walked == _full_search(system)
+
+
+def _box_points(system):
+    """The z points by plain box enumeration, in lexicographic order."""
+    zids = [vid for vid, _ in system.z_vars]
+    ranges = [range(b.lower, b.upper + 1) for _, b in system.z_vars]
+    points = [dict(zip(zids, p)) for p in itertools.product(*ranges)]
+    return [p for p in points if all(_holds(row, p) for row in system.rows_z)]
+
+
+_A_PLUS_B = ({"a": 1, "b": 1, "v": -1}, Rel.EQ, 0)
+
+
+@pytest.mark.parametrize(
+    "z_specs, rows_z, defined",
+    [
+        # v = a + b fits v's box, and does not once the box cuts
+        ([("a", 0, 2), ("b", 0, 2), ("v", 0, 4)], [_A_PLUS_B], ["v"]),
+        ([("a", 0, 2), ("b", 0, 2), ("v", 0, 3)], [_A_PLUS_B], []),
+        # v reads w, which comes after it (and w has a second row)
+        ([("a", 0, 2), ("v", 0, 2)], [({"a": 1, "v": 1}, Rel.EQ, 2)], ["v"]),
+        (
+            [("v", 0, 2), ("w", 0, 2)],
+            [({"v": 1, "w": 1}, Rel.EQ, 2), ({"w": 1}, Rel.LEQ, 1)],
+            [],
+        ),
+        # v's coefficient is 1 once the row is scaled, and 2 is not
+        (
+            [("a", 0, 4), ("v", 0, 4)],
+            [({"a": Fraction(1, 2), "v": Fraction(-1, 2)}, Rel.EQ, 0)],
+            ["v"],
+        ),
+        ([("a", 0, 4), ("v", 0, 8)], [({"a": 1, "v": -2}, Rel.EQ, 0)], []),
+    ],
+    ids=[
+        "box-fits",
+        "box-cuts",
+        "lower-index",
+        "higher-index",
+        "scaled-to-1",
+        "coefficient-2",
+    ],
+)
+def test_a_defined_variable_keeps_the_points_of_the_box(z_specs, rows_z, defined):
+    sys_ = _rsys([], z_specs, rows_z=rows_z)
+    walk = sys_._zwalk
+    assert [walk.zids[v].name for v, *_ in walk.defined] == defined
+    assert _walked(sys_) == _box_points(sys_)
+
+
+def _capped():
+    return _rsys(
+        [("x", 0, 1)],
+        [("z", 0, 3), ("w", 0, 3)],
+        rows_xz=[({"x": 1, "z": -1}, Rel.LEQ, 0)],
+        rows_z=[({"z": 1, "w": 1}, Rel.LEQ, 3)],
+    )
+
+
+def test_substitute_checks_a_walked_scenario_whose_values_changed():
+    sys_ = _capped()
+    z, w = (vid for vid, _ in sys_.z_vars)
+    scenario = next(enumerate_scenarios(sys_))
+    assert scenario.values == {z: 0, w: 0}
+    assert substitute(sys_, scenario).rows[0].rhs == 0
+    scenario.values[w] = 4  # the point the walk yielded is unchanged
+    with pytest.raises(ScenarioError, match="row 0 violated"):
+        substitute(sys_, scenario)
+
+
+def test_substitute_checks_a_point_from_another_systems_walk():
+    loose = _capped()
+    strict = _rsys(
+        [("x", 0, 1)],
+        [("z", 0, 3), ("w", 0, 3)],
+        rows_xz=[({"x": 1, "z": -1}, Rel.LEQ, 0)],
+        rows_z=[({"z": 1, "w": 1}, Rel.LEQ, 2)],
+    )
+    *_, last = enumerate_scenarios(strict)
+    *_, other = enumerate_scenarios(loose)
+    assert other.by_name() == {"z": 3, "w": 0} != last.by_name()
+    with pytest.raises(ScenarioError, match="row 0 violated"):
+        substitute(strict, other)

@@ -10,19 +10,22 @@ that must be refused (``error_runs``) and what the parsers print for
 help and usage errors (``help_runs``).  Prints one line per run: its
 label, its exit code and short hashes of stdout and stderr, with
 ``wall_time`` values, the document path and the location a warning
-points at masked.  A refactor
-that should not change behaviour shows no difference:
+points at masked.  ``cli_digest.txt`` next to this file holds the
+committed digest:
 
-    python3 tools/cli_digest.py > before.txt    # at the parent commit
-    python3 tools/cli_digest.py > after.txt     # at the change
-    diff before.txt after.txt
+    python3 tools/cli_digest.py --check                 # compare, exit 1 on a difference
+    python3 tools/cli_digest.py > tools/cli_digest.txt  # write it again
 
-Imports resilp from the ``src/`` of the checkout this file sits in.
+A change that should not change what the CLI prints passes ``--check``; a
+change that means to rewrites the file, and its diff names the runs that
+moved.  Imports resilp from the ``src/`` of the checkout this file sits in.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -34,6 +37,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tools" / "cli_digest.txt"
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -231,34 +235,52 @@ def help_runs(path: str):
     yield "gen-bogus", ["gen", "--reduction", "3dm", path, "--bogus"]
 
 
-def main() -> int:
+def digest_lines():
+    """Every line of the digest, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "doc.json")
 
         def digest(label, argv, text):
             Path(path).write_text(text)
-            print(f"{label} {run(argv + [path], path)}", flush=True)
+            return f"{label} {run(argv + [path], path)}"
 
         for iid, problem, doc in workloads.all_instances():
             for what, argv in document_runs(problem):
-                digest(f"{what} {iid}", argv, json.dumps(doc))
+                yield digest(f"{what} {iid}", argv, json.dumps(doc))
         for name, reduction, doc in gen_sources():
             for flags in ([], ["--verify"]):
                 argv = ["gen", "--reduction", reduction, *flags]
-                digest(" ".join(["gen", *flags, name]), argv, json.dumps(doc))
+                yield digest(" ".join(["gen", *flags, name]), argv, json.dumps(doc))
         for name, argv, text in check_runs():
-            digest(f"check {name}", argv, text)
+            yield digest(f"check {name}", argv, text)
         for name, argv, text in stdin_runs():
-            print(f"stdin {name} {run(argv, path, stdin=text)}", flush=True)
+            yield f"stdin {name} {run(argv, path, stdin=text)}"
         for name, argv, text in error_runs():
             if text is None:
-                print(f"error {name} {run(argv, path)}", flush=True)
+                yield f"error {name} {run(argv, path)}"
             else:
-                digest(f"error {name}", argv, text)
+                yield digest(f"error {name}", argv, text)
         Path(path).write_text(json.dumps({"n": 1, "triples": [[1, 1, 1]], "k": 1}))
         for name, argv in help_runs(path):
-            print(f"help {name} {run(argv, path)}", flush=True)
-    return 0
+            yield f"help {name} {run(argv, path)}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare with {GOLDEN.name} instead of printing")
+    args = parser.parse_args(argv)
+    if not args.check:
+        for line in digest_lines():
+            print(line, flush=True)
+        return 0
+    committed = GOLDEN.read_text().splitlines()
+    fresh = list(digest_lines())
+    diff = list(difflib.unified_diff(committed, fresh, GOLDEN.name, "now", lineterm=""))
+    for line in diff:
+        print(line)
+    print(f"{len(fresh)} lines, {'differs from' if diff else 'matches'} {GOLDEN.name}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
