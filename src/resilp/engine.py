@@ -34,6 +34,19 @@ construction and is not checked again.  Any other scenario, including a
 yielded one whose values were changed afterwards, is checked in full by
 ``evaluate`` against the z system, which also names its first violation.
 
+The kernel also compiles the root of every scenario's x search once: it
+propagates the x rows alone from the x boxes, and each search starts
+from that fixpoint with only the mixed rows queued.  That box contains
+the fixpoint of all the rows, and the greatest common fixpoint is
+unique, so the root box, every node and the lex-first x are those of a
+search from the x boxes with every row queued.  When the x rows alone
+have no point, every search starts from the x boxes with every row
+queued.  The substituted system, its folded mixed rows and the
+scenarios and answers the walks yield are built from parts checked once
+per system and from the walks' ints, so they skip the value classes'
+checks; each holds dicts of its own, so a caller that changes one
+changes neither the kernel nor a later answer.
+
 The x side sees a scenario only through its shift B*z, the z terms of the
 mixed rows: the x rows and x boxes stay fixed, and each mixed row's rhs is
 base - shift.  So ``check_resiliency`` keeps, for one call, the shifts of
@@ -69,6 +82,8 @@ from .ilp import (
     VarId,
     _int_row,
     _Search,
+    _build,
+    _propagate,
     _walk,
     _watch,
     evaluate,
@@ -140,9 +155,10 @@ class ResiliencySystem(Value):
 
 class _ZWalk:
     """The z search of a :class:`ResiliencySystem` as
-    :func:`enumerate_scenarios` walks it: the compiled z rows without the
-    rows of defined variables, and the z boxes with each defined variable
-    held at one value (see the module docstring).
+    :func:`enumerate_scenarios` walks it, in ``search``: the compiled z
+    rows without the rows of defined variables, and as its root the z
+    boxes with each defined variable held at one value (see the module
+    docstring).
 
     ``defined`` holds ``(v, c, rhs, rest)`` per defined variable, in index
     order, for v = c * (rhs - rest·z).  ``last`` is the point the walk
@@ -150,10 +166,9 @@ class _ZWalk:
     """
 
     def __init__(self, zsys: LinearSystem):
-        rows, watch = zsys._search
+        rows, watch, (lo, hi, _) = zsys._search
+        lo, hi = lo.copy(), hi.copy()  # the z system's own root stays whole
         self.zids = [vid for vid, _ in zsys.variables]
-        self.lo = lo = [b.lower for _, b in zsys.variables]
-        self.hi = hi = [b.upper for _, b in zsys.variables]
         self.defined = []
         self.last = None
         dropped = []
@@ -185,7 +200,7 @@ class _ZWalk:
             at = {r: i for i, r in enumerate(kept)}
             rows = [rows[r] for r in kept]
             watch = [[at[r] for r in w if r in at] for w in watch]
-        self.rows, self.watch = rows, watch
+        self.search = _Search(rows, watch, (lo, hi, range(len(rows))))
 
 
 class _Kernel:
@@ -195,7 +210,9 @@ class _Kernel:
     its scaled x items, its scaled z items (the shift) and its scaled base
     rhs, so a scenario only moves right-hand sides: rhs = base - B*z, in
     ints.  The watch lists cover the x rows and then the mixed rows, in
-    the layout :func:`substitute` emits them.
+    the layout :func:`substitute` emits them.  ``root`` is the
+    ``(lo, hi, todo)`` every scenario's search starts from (see the
+    module docstring).
 
     ``shifts`` holds each mixed row's shift items, ``(z VarId, coeff)``,
     when the shift memo runs (see the module docstring), else ``None``.
@@ -220,6 +237,16 @@ class _Kernel:
         self.watch = _watch(
             len(system.x_vars), xforms + [form for form, _, _ in self.mixed]
         )
+        nx = len(self.x_rows)
+        nrows = nx + sum(len(form.sides) for form, _, _ in self.mixed)
+        lo = [b.lower for _, b in system.x_vars]
+        hi = [b.upper for _, b in system.x_vars]
+        xlo, xhi = lo.copy(), hi.copy()
+        xwatch = _watch(len(lo), xforms)
+        if _propagate(self.x_rows, xwatch, xlo, xhi, range(nx)):
+            self.root = (xlo, xhi, range(nx, nrows))
+        else:  # the x rows alone have no point
+            self.root = (lo, hi, range(nrows))
         self.shifts = None
         if len(self.mixed) < len(self.zids):
             self.shifts = [
@@ -250,11 +277,11 @@ def enumerate_scenarios(system: ResiliencySystem) -> Iterator[IntAssignment]:
     once, in lexicographic order of z values (variables in index order)."""
     walk = system._zwalk
     zids, defined = walk.zids, walk.defined
-    for z in _walk(walk.rows, walk.watch, walk.lo.copy(), walk.hi.copy()):
+    for z in _walk(walk.search):
         for v, c, q, rest in defined:
             z[v] = c * (q - sum(a * z[j] for j, a in rest))
         walk.last = z
-        yield IntAssignment(dict(zip(zids, z)))
+        yield _build(IntAssignment, dict(zip(zids, z)))
 
 
 def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSystem:
@@ -284,10 +311,11 @@ def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSyste
     for form, xcoeffs, rel in kernel.mixed:
         rhs = form.rhs - sum(c * z[j] for j, c in form.shift)
         rows += form.search_rows(rhs)
-        folded.append(LinearRow(xcoeffs, rel, Fraction(rhs, form.scale)))
-    sub = LinearSystem(system.x_vars, system.rows_x + tuple(folded))
+        rhs = Fraction(rhs, form.scale)
+        folded.append(_build(LinearRow, xcoeffs.copy(), rel, rhs))
+    sub = _build(LinearSystem, system.x_vars, system.rows_x + tuple(folded))
     # Seed the cached compiled form, so the solver does not compile again.
-    vars(sub)["_search"] = _Search(rows, kernel.watch)
+    vars(sub)["_search"] = _Search(rows, kernel.watch, kernel.root)
     return sub
 
 

@@ -15,7 +15,14 @@ by recursion, with row-based interval propagation: a branch dies as soon
 as some row's minimal achievable left-hand side exceeds its right-hand
 side.  Propagation is queue-driven: a child box starts from its parent's
 fixpoint, so only the rows that read a variable just fixed or tightened
-are scanned again.
+are scanned again.  The root box is the variable boxes with every row
+queued, unless the compiled system names a narrower root: a box at the
+fixpoint of some of its rows, with every other row queued.  The
+resiliency engine starts each scenario from the fixpoint of its x rows.
+
+The value classes check their fields when a caller builds them; the
+values the solver and the engine build from checked parts skip the
+checks (:func:`_build`).
 
 The same search, run to exhaustion, enumerates every feasible point in
 lexicographic order of variable values; the resiliency engine uses that
@@ -123,6 +130,20 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _build(cls, *fields):
+    """A ``cls`` instance holding ``fields``, in ``cls._fields`` order,
+    without running the checks of ``cls.__init__``.
+
+    Only for fields that are valid already: parts of a system that were
+    checked once per system, or ints that a search produced.  A caller
+    hands each mutable field over as an object of its own.
+    """
+    self = object.__new__(cls)
+    for name, value in zip(cls._fields, fields):
+        object.__setattr__(self, name, value)
+    return self
+
+
 class VarId(NamedTuple):
     """A variable: dense index within its system plus a unique name,
     ordered by ``(index, name)``."""
@@ -218,15 +239,18 @@ class LinearSystem(Value):
 
     @cached_property
     def _search(self) -> "_Search":
-        """The system compiled for the search, on first use.
+        """The system compiled for the search, on first use, with its
+        variable boxes as the root and every row queued there.
 
         :func:`resilp.engine.substitute` sets it on the systems it returns,
-        from rows compiled once per partitioned system.
+        from rows and a root compiled once per partitioned system.
         """
         forms = [_int_row(row) for row in self.rows]
+        rows = [r for form in forms for r in form.search_rows(form.rhs)]
+        lo = [bounds.lower for _, bounds in self.variables]
+        hi = [bounds.upper for _, bounds in self.variables]
         return _Search(
-            [r for form in forms for r in form.search_rows(form.rhs)],
-            _watch(len(self.variables), forms),
+            rows, _watch(len(self.variables), forms), (lo, hi, range(len(rows)))
         )
 
 
@@ -282,7 +306,7 @@ def evaluate(system: LinearSystem, assignment: IntAssignment) -> Optional[Violat
             extra=(v.name for v in have - want),
         )
     for i, row in enumerate(system.rows):
-        lhs = Fraction(0)
+        lhs = 0
         for vid, c in row.coeffs.items():
             lhs += c * assignment.values[vid]
         ok = lhs <= row.rhs if row.rel is Rel.LEQ else lhs == row.rhs
@@ -362,11 +386,16 @@ def _int_row(row: LinearRow, folded=frozenset()) -> _IntRow:
 
 
 class _Search(NamedTuple):
-    """A system compiled for the search: its search rows and, per variable
-    index, the positions of the rows that read that variable."""
+    """A system compiled for the search: its search rows, per variable
+    index the positions of the rows that read that variable, and the
+    root ``(lo, hi, todo)``: the box the search starts from and the rows
+    to scan there.  The root box is the variable boxes with every row
+    queued, or a box where the rows left out of ``todo`` are already at
+    their fixpoint (see :func:`_propagate`)."""
 
     rows: list
     watch: list
+    root: tuple
 
 
 def _watch(n: int, forms: Sequence[_IntRow]) -> list:
@@ -441,19 +470,21 @@ def _branches(lo, hi, k):
         yield nlo, nhi, k
 
 
-def _walk(rows, watch, lo, hi) -> Iterator[list]:
-    """Every point of the box ``lo``..``hi`` that meets the search ``rows``,
-    as an int list, in lexicographic order.
+def _walk(search: _Search) -> Iterator[list]:
+    """Every point of the root box of ``search`` that meets its rows, as an
+    int list, in lexicographic order.
 
-    The walk takes ``lo`` and ``hi`` over and changes them; each point it
-    yields is a list of its own, which the caller may keep or change.
+    The root scans the rows of the root queue first (see :func:`_propagate`)
+    and works on copies of the root box; each point the walk yields is a
+    list of its own, which the caller may keep or change.
     """
+    rows, watch, (lo, hi, root) = search
     n = len(lo)
     # One lazy child iterator per open level: the top one yields the next
     # sibling to visit, so points come out in lexicographic order and only
     # the boxes on the current path are held in memory.  A box carries the
     # variable its parent branched on (-1 at the root).
-    stack = [iter([(lo, hi, -1)])]
+    stack = [iter([(lo.copy(), hi.copy(), -1)])]
     while stack:
         box = next(stack[-1], None)
         if box is None:
@@ -462,7 +493,7 @@ def _walk(rows, watch, lo, hi) -> Iterator[list]:
         lo, hi, k = box
         # A child box is its parent's fixpoint with variable k fixed, so
         # only the rows that read k need scanning first.
-        todo = watch[k] if k >= 0 else range(len(rows))
+        todo = watch[k] if k >= 0 else root
         if not _propagate(rows, watch, lo, hi, todo):
             continue
         # Variables before k were fixed at the parent; k is fixed now.
@@ -475,12 +506,9 @@ def _walk(rows, watch, lo, hi) -> Iterator[list]:
 
 def iter_feasible(system: LinearSystem) -> Iterator[IntAssignment]:
     """All feasible points, in lexicographic order of variable values."""
-    rows, watch = system._search
     varids = [vid for vid, _ in system.variables]
-    lo = [bounds.lower for _, bounds in system.variables]
-    hi = [bounds.upper for _, bounds in system.variables]
-    points = _walk(rows, watch, lo, hi)
-    return (IntAssignment(dict(zip(varids, z))) for z in points)
+    points = _walk(system._search)
+    return (_build(IntAssignment, dict(zip(varids, z))) for z in points)
 
 
 def solve_feasibility(system: LinearSystem) -> Optional[IntAssignment]:

@@ -290,21 +290,160 @@ def _fraction_fold(system, scenario):
     return LinearSystem(system.x_vars, system.rows_x + tuple(folded))
 
 
+def _acceptance_suites():
+    """(system, verdict) for the 560 systems of the acceptance suites."""
+    import test_acceptance as suites
+
+    verdicts = [(system, verdict) for system, verdict in suites.raw_suite()]
+    for suite in (
+        suites.rdscp_suite, suites.rcs_suite, suites.sched_suite, suites.bribery_suite
+    ):
+        verdicts += [(system, verdict) for _, system, verdict in suite()]
+    assert len(verdicts) == 560
+    return verdicts
+
+
+def _root_kind(system):
+    """How the kernel starts each scenario's x search: from the x rows'
+    own fixpoint ("fixpoint", "narrowed" when it cuts some x box) or,
+    when the x rows alone have no point, from the x boxes ("boxes")."""
+    lo, hi, todo = system._kernel.root
+    if todo.start == 0 and system.rows_x:
+        return "boxes"
+    boxes = [(b.lower, b.upper) for _, b in system.x_vars]
+    return "fixpoint" if list(zip(lo, hi)) == boxes else "narrowed"
+
+
+def _assert_substitute_matches_a_fresh_fold(system):
+    """Over every scenario: substitute equals the plain Fraction fold, and
+    the search it seeds (the kernel's root included) yields the points of
+    the same system compiled afresh, in the same order."""
+    scenarios = 0
+    for scenario in enumerate_scenarios(system):
+        scenarios += 1
+        sub = substitute(system, scenario)
+        assert sub == _fraction_fold(system, scenario)
+        fresh = LinearSystem(sub.variables, sub.rows)
+        assert [a.values for a in iter_feasible(sub)] == [
+            a.values for a in iter_feasible(fresh)
+        ]
+    return scenarios
+
+
 def test_substitute_matches_a_plain_fraction_fold():
     rng = random.Random(0xF01D)
     scenarios = 0
     for _ in range(150):
-        sys_ = _random_partitioned(rng)
-        for scenario in enumerate_scenarios(sys_):
-            scenarios += 1
-            sub = substitute(sys_, scenario)
-            assert sub == _fraction_fold(sys_, scenario)
-            # the search rows substitute seeds against ones compiled afresh
-            fresh = LinearSystem(sub.variables, sub.rows)
-            assert [a.values for a in iter_feasible(sub)] == [
-                a.values for a in iter_feasible(fresh)
-            ]
+        scenarios += _assert_substitute_matches_a_fresh_fold(_random_partitioned(rng))
     assert scenarios > 100
+
+
+def test_substitute_matches_a_fresh_fold_on_the_rational_sweep():
+    from test_ilp import _random_rational_resiliency
+
+    rng = random.Random(0xF7AC)
+    kinds = []
+    for _ in range(400):
+        sys_ = _random_rational_resiliency(rng)
+        if _assert_substitute_matches_a_fresh_fold(sys_):
+            kinds.append(_root_kind(sys_))
+    assert kinds.count("narrowed") >= 20 and kinds.count("boxes") >= 20
+
+
+def test_substitute_matches_a_fresh_fold_on_the_acceptance_suites():
+    kinds = []
+    for system, _ in _acceptance_suites():
+        if _assert_substitute_matches_a_fresh_fold(system):
+            kinds.append(_root_kind(system))
+    assert kinds.count("narrowed") >= 100 and kinds.count("boxes") >= 20
+
+
+@pytest.mark.parametrize(
+    "build, narrowed, boxes",
+    [
+        (lambda: encode(SCHED_SCALED[0]), 0, 8),
+        (lambda: _bribery_system(BRIBERY_BA2_B2), 30, 42),
+        (lambda: _rcs_system(RCS_6X4), 21, 22),
+    ],
+    ids=["sched-4x2-K8", "bribery-borda-ba2-b2", "rcs-6x4-d3-m2"],
+)
+def test_the_root_is_the_x_rows_own_fixpoint(build, narrowed, boxes):
+    system = build()
+    lo, hi, todo = system._kernel.root
+    cut = [
+        j for j, (_, b) in enumerate(system.x_vars)
+        if (lo[j], hi[j]) != (b.lower, b.upper)
+    ]
+    assert (len(cut), len(system.x_vars)) == (narrowed, boxes)
+    # the root scans the mixed rows only: the search rows after the x rows
+    first = next(enumerate_scenarios(system))
+    rows, _, _ = substitute(system, first)._search
+    assert todo == range(len(system._kernel.x_rows), len(rows))
+
+
+def test_x_rows_with_no_point_start_every_scenario_from_the_boxes():
+    # the x rows ask for x1 + x2 >= 3 on unit boxes: no scenario has an answer
+    sys_ = _rsys(
+        [("x1", 0, 1), ("x2", 0, 1)],
+        [("z", 0, 2)],
+        rows_x=[({"x1": -1, "x2": -1}, Rel.LEQ, -3)],
+        rows_xz=[({"x1": 1, "z": 1}, Rel.LEQ, 4)],
+    )
+    assert sys_._kernel.root == ([0, 0], [1, 1], range(2))
+    first = next(enumerate_scenarios(sys_))
+    verdict = check_resiliency(sys_)
+    assert verdict == ResiliencyVerdict(False, first, 1, (first, None))
+    assert verdict.witness_z.by_name() == {"z": 0}
+    assert verdict == _unmemoized(sys_)
+    _assert_substitute_matches_a_fresh_fold(sys_)
+
+
+def test_an_always_false_mixed_pair_is_scanned_at_the_root():
+    # 2x + z = 2: the gcd 2 divides the shifted rhs 2 - z only at z = 0,
+    # so z = 1 compiles the pair to rows no point meets and no x reads
+    sys_ = _rsys(
+        [("x", 0, 3)],
+        [("z", 0, 1)],
+        rows_x=[({"x": 1}, Rel.LEQ, 2)],
+        rows_xz=[({"x": 2, "z": 1}, Rel.EQ, 2)],
+    )
+    assert sys_._kernel.root == ([0], [2], range(1, 3))
+    zero, one = enumerate_scenarios(sys_)
+    rows, watch, root = substitute(sys_, one)._search
+    assert rows[1:] == [((), -1), ((), -1)] and list(root[2]) == [1, 2]
+    assert solve_feasibility(substitute(sys_, one)) is None
+    verdict = check_resiliency(sys_)
+    assert verdict.witness_z.by_name() == {"z": 1}
+    assert verdict.scenarios_checked == 2
+    assert verdict.sample[1].by_name() == {"x": 1}
+    _assert_substitute_matches_a_fresh_fold(sys_)
+
+
+def test_changing_a_returned_value_changes_no_later_answer():
+    inst = SCHED_SCALED[2]  # not resilient: witness at scenario 118 of 120
+    system = encode(inst)
+    expected = check_resiliency(encode(inst))
+    first = next(enumerate_scenarios(system))
+    fold = _fraction_fold(system, first)
+    verdict = check_resiliency(system)
+    assert verdict == expected
+    # a folded mixed row of a substituted system, a yielded scenario and
+    # a solve's answer, each changed in place
+    sub = substitute(system, first)
+    for row in sub.rows[len(system.rows_x):]:
+        for vid in row.coeffs:
+            row.coeffs[vid] += 7
+    scenario = next(enumerate_scenarios(system))
+    for vid in scenario.values:
+        scenario.values[vid] += 1
+    answer = solve_feasibility(substitute(system, first))
+    for vid in answer.values:
+        answer.values[vid] = -1
+    verdict.witness_z.values.clear()
+    verdict.sample[1].values.clear()
+    assert check_resiliency(system) == expected
+    assert substitute(system, first) == fold
+    assert solve_feasibility(substitute(system, first)) == expected.sample[1]
 
 
 def test_each_row_compiles_once_per_system(monkeypatch):
@@ -583,15 +722,7 @@ def test_memo_matches_solving_every_scenario_on_the_rational_sweep():
 
 
 def test_memo_matches_solving_every_scenario_on_the_acceptance_suites():
-    import test_acceptance as suites
-
-    verdicts = [(system, verdict) for system, verdict in suites.raw_suite()]
-    for suite in (
-        suites.rdscp_suite, suites.rcs_suite, suites.sched_suite, suites.bribery_suite
-    ):
-        verdicts += [(system, verdict) for _, system, verdict in suite()]
-    assert len(verdicts) == 560
-    for system, verdict in verdicts:
+    for system, verdict in _acceptance_suites():
         assert verdict == _unmemoized(system)
 
 
@@ -732,14 +863,7 @@ def test_the_walk_matches_the_full_z_search_on_the_rational_sweep():
 
 
 def test_the_walk_matches_the_full_z_search_on_the_acceptance_suites():
-    import test_acceptance as suites
-
-    systems = [system for system, _ in suites.raw_suite()]
-    for suite in (
-        suites.rdscp_suite, suites.rcs_suite, suites.sched_suite, suites.bribery_suite
-    ):
-        systems += [system for _, system, _ in suite()]
-    assert len(systems) == 560
+    systems = [system for system, _ in _acceptance_suites()]
     for system in systems:
         assert _walked(system) == _full_search(system)
     assert sum(bool(system._zwalk.defined) for system in systems) == 161

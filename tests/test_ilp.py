@@ -375,7 +375,7 @@ def test_queue_propagation_matches_full_sweep():
         for system in systems:
             if not system.variables:
                 continue
-            rows, watch = system._search
+            rows, watch, _ = system._search
             lo, hi = [], []
             for _, b in system.variables:
                 a, c = sorted(rng.randint(b.lower, b.upper) for _ in range(2))
