@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 # Only what every `check` runs is imported here: a module-level import
 # runs on every `resilp` start.  Problem modules, oracles and generators
 # load on the path that uses them, and are called as module attributes.
-from .engine import check_resiliency
+from .engine import _MAX_SCENARIOS, check_resiliency
 from .errors import ResilpError, ValidationError
 from .jsonio import (
     assignment_to_dict,
@@ -129,7 +129,8 @@ def _options(args) -> dict:
 
 
 # --max-points when not given: what plain box enumeration and the sched
-# oracle visit at most.
+# oracle visit at most.  It equals oracles._MAX_POINTS, kept apart so that
+# a start does not import the oracles and the encoders they load.
 _MAX_POINTS = 10_000_000
 
 
@@ -429,9 +430,9 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
                      help="also run plain box enumeration on the system; exit 3 on mismatch")
     chk.add_argument("--decode", action="store_true",
                      help="attach a human-readable witness or sample solution")
-    chk.add_argument("--max-scenarios", type=_count, default=1_000_000,
+    chk.add_argument("--max-scenarios", type=_count, default=_MAX_SCENARIOS,
                      help="scenarios the engine checks at most; exit 2 past "
-                          "it (default 1000000)")
+                          f"it (default {_MAX_SCENARIOS})")
     chk.add_argument("--max-points", **max_points)
     chk.add_argument("--aggregate-distance", action="store_true",
                      help="rcs only: one total-distance row instead of per-row rows")

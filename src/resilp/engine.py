@@ -13,52 +13,62 @@ stops at the first failing scenario, which becomes the witness.  An empty
 scenario set (the adversary has no admissible move at all) is vacuously
 resilient with zero scenarios checked.
 
+Each row compiles once, by ``ilp._int_row``, and rows become a search
+only through ``ilp._layout``, so the engine never counts search-row
+positions.  The z rows compile in the z walk, the x rows in the search
+of the system's x block, and the mixed rows in the kernel.
+
 ``enumerate_scenarios`` runs the search of :mod:`resilp.ilp` (the walk
 ``iter_feasible`` also runs) on the compiled z rows, with the defined z
-variables left out.  A z variable v is defined when exactly one z row
-reads it, that row is an ``=`` row, v's compiled coefficient there is 1
-or -1, every other variable of the row comes before v, and the row's
-other boxes put v inside its own box, so the row never cuts.  Such a v
-has one value for each point of the others, and two points never first
-differ at v.  So the walk holds v's box at one value, drops its row and
-computes v at each leaf: the points and their order are those of the full
-search.  The census variables of ``ilp.transfer`` blocks are defined.
+variables left out: the walk picks them on the compiled rows and lays
+out only the rows it keeps.  A z variable v is defined when exactly one
+z row reads it, that row is an ``=`` row whose rhs its gcd divides, v's
+compiled coefficient there is 1 or -1, every other variable of the row
+comes before v, and the row's other boxes put v inside its own box, so
+the row never cuts.  Such a v has one value for each point of the
+others, and two points never first differ at v.  So the walk holds v's
+box at one value, drops its row and computes v at each leaf: the points
+and their order are those of the full search.  The census variables of
+``ilp.transfer`` blocks are defined.
 
 Each partitioned system is compiled once, on first use, into an integer
-kernel: the x rows become fixed search rows, and each mixed row a scaled
-x part, a scaled z part and a scaled base right-hand side.  Per
-scenario, ``substitute`` computes rhs = base - B*z in ints, and hands the
-solver those rows with the substituted system.  A scenario whose z
+kernel: the x block's search rows, watch lists and boxes, and each mixed
+row as a scaled x part, a scaled z part ``form.shift`` (its row of B, by
+z index, the one form B is kept in) and a scaled base right-hand side.
+Per scenario, ``substitute`` computes rhs = base - B*z in ints, and hands
+the solver those rows with the substituted system.  A scenario whose z
 values equal the point the system's walk last yielded is admissible by
 construction and is not checked again.  Any other scenario, including a
 yielded one whose values were changed afterwards, is checked in full by
 ``evaluate`` against the z system, which also names its first violation.
 
 The kernel also compiles the root of every scenario's x search once: it
-propagates the x rows alone from the x boxes, and each search starts
-from that fixpoint with only the mixed rows queued.  That box contains
-the fixpoint of all the rows, and the greatest common fixpoint is
-unique, so the root box, every node and the lex-first x are those of a
-search from the x boxes with every row queued.  When the x rows alone
-have no point, every search starts from the x boxes with every row
-queued.  The substituted system, its folded mixed rows and the
-scenarios and answers the walks yield are built from parts checked once
-per system and from the walks' ints, so they skip the value classes'
-checks; each holds dicts of its own, so a caller that changes one
-changes neither the kernel nor a later answer.
+propagates the x block's rows alone from its boxes, over its own watch
+lists, and each search starts from that fixpoint with only the mixed
+rows queued.  That box contains the fixpoint of all the rows, and the
+greatest common fixpoint is unique, so the root box, every node and the
+lex-first x are those of a search from the x boxes with every row
+queued.  When the x rows alone have no point, every search starts from
+the x boxes with every row queued.  The substituted system, its folded
+mixed rows and the scenarios and answers the walks yield are built from
+parts checked once per system and from the walks' ints, so they skip the
+value classes' checks; each holds dicts of its own, so a caller that
+changes one changes neither the kernel nor a later answer.
 
-The x side sees a scenario only through its shift B*z, the z terms of the
-mixed rows: the x rows and x boxes stay fixed, and each mixed row's rhs is
-base - shift.  So ``check_resiliency`` keeps, for one call, the shifts of
-the scenarios it found feasible, and counts a later scenario with an equal
-shift as checked without substituting or solving it.  Only feasible shifts
-are kept, so the first failing scenario is always solved and becomes the
-witness.  The memo runs only when the kernel has fewer mixed rows than z
-variables: then B's columns are linearly dependent, so two distinct z can
-share a shift.  With at least as many rows it is off: that covers every B
-of full column rank, where each shift is new, and a dependent B it misses
-only costs solves.  It stops growing
-at ``_MAX_SHIFTS`` keys, past which a new shift is simply solved.
+The x side sees a scenario only through its shift B*z, the z terms of
+the mixed rows: the x rows and x boxes stay fixed, and each mixed row's
+rhs is base - shift.  So ``check_resiliency`` keeps, for one call, the
+shifts of the scenarios it found feasible, and counts a later scenario
+with an equal shift as checked without substituting or solving it.  A
+scenario's key sums each ``form.shift`` over the int list the walk just
+yielded.  Only feasible shifts are kept, so the first failing scenario
+is always solved and becomes the witness.  The memo runs only when the
+kernel has fewer mixed rows than z variables: then B's columns are
+linearly dependent, so two distinct z can share a shift.  With at least
+as many rows it is off: that covers every B of full column rank, where
+each shift is new, and a dependent B it misses only costs solves.  It
+stops growing at ``_MAX_SHIFTS`` keys, past which a new shift is simply
+solved.
 
 Each block is indexed densely from zero so that both the z subsystem and
 the substituted x system are well-formed :class:`~resilp.ilp.LinearSystem`
@@ -67,6 +77,7 @@ values; variable names stay unique across the whole system.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Tuple
@@ -76,19 +87,21 @@ from .ilp import (
     IntAssignment,
     LinearRow,
     LinearSystem,
-    Rel,
     Value,
     VarBounds,
     VarId,
     _int_row,
     _Search,
     _build,
+    _layout,
     _propagate,
     _walk,
-    _watch,
     evaluate,
     solve_feasibility,
 )
+
+# Scenarios check_resiliency checks at most when no other cap is given.
+_MAX_SCENARIOS = 1_000_000
 
 # Shifts one check_resiliency call keeps at most; a shift past the cap is
 # solved, so the cap bounds memory and never changes an answer.
@@ -126,6 +139,7 @@ class ResiliencySystem(Value):
         object.__setattr__(self, "rows_x", xsys.rows)
         object.__setattr__(self, "rows_xz", rows_xz)
         object.__setattr__(self, "rows_z", zsys.rows)
+        object.__setattr__(self, "_xsys", xsys)
         object.__setattr__(self, "_zsys", zsys)
 
     @property
@@ -155,104 +169,86 @@ class ResiliencySystem(Value):
 
 class _ZWalk:
     """The z search of a :class:`ResiliencySystem` as
-    :func:`enumerate_scenarios` walks it, in ``search``: the compiled z
-    rows without the rows of defined variables, and as its root the z
-    boxes with each defined variable held at one value (see the module
-    docstring).
+    :func:`enumerate_scenarios` walks it, in ``search``: the z rows
+    compiled once, with the rows of defined variables left out, laid out
+    over the z boxes with each defined variable held at one value (see the
+    module docstring).
 
-    ``defined`` holds ``(v, c, rhs, rest)`` per defined variable, in index
-    order, for v = c * (rhs - rest·z).  ``last`` is the point the walk
-    most recently yielded, which :func:`substitute` need not check.
+    ``zids`` holds the z ids in index order and ``zkeys`` the same as a
+    set.  ``defined`` holds ``(v, c, rhs, rest)`` per defined variable, in
+    index order, for v = c * (rhs - rest·z).  ``last`` is the point the
+    walk most recently yielded, which :func:`substitute` need not check.
     """
 
     def __init__(self, zsys: LinearSystem):
-        rows, watch, (lo, hi, _) = zsys._search
-        lo, hi = lo.copy(), hi.copy()  # the z system's own root stays whole
         self.zids = [vid for vid, _ in zsys.variables]
+        self.zkeys = frozenset(self.zids)
         self.defined = []
         self.last = None
-        dropped = []
-        p = 0  # a <= row compiles to one search row, an = row to two
-        for row in zsys.rows:
-            if row.rel is Rel.LEQ:
-                p += 1
-                continue
-            (items, q), p = rows[p], p + 2
-            if not items:  # no variable, or an always-false pair
-                continue
-            v, c = items[-1]
-            rest = items[:-1]
-            low = sum(a * (lo[j] if a > 0 else hi[j]) for j, a in rest)
-            high = sum(a * (hi[j] if a > 0 else lo[j]) for j, a in rest)
-            least, most = sorted((c * (q - low), c * (q - high)))
-            if (
-                c in (1, -1)
-                and watch[v] == [p - 2, p - 1]
-                and lo[v] <= least
-                and most <= hi[v]
-            ):
-                self.defined.append((v, c, q, rest))
-                dropped += watch[v]
-                hi[v] = lo[v]
+        lo = [b.lower for _, b in zsys.variables]
+        hi = [b.upper for _, b in zsys.variables]
+        forms = [_int_row(row) for row in zsys.rows]
+        readers = Counter(j for form in forms for j, _ in form.sides[0])
+        kept = []
+        for form in forms:
+            items = form.sides[0]
+            q, r = divmod(form.rhs, form.g)
+            if len(form.sides) == 2 and items and not r:
+                v, c = items[-1]
+                rest = items[:-1]
+                low = sum(a * (lo[j] if a > 0 else hi[j]) for j, a in rest)
+                high = sum(a * (hi[j] if a > 0 else lo[j]) for j, a in rest)
+                least, most = sorted((c * (q - low), c * (q - high)))
+                if (
+                    c in (1, -1)
+                    and readers[v] == 1
+                    and lo[v] <= least
+                    and most <= hi[v]
+                ):
+                    self.defined.append((v, c, q, rest))
+                    hi[v] = lo[v]
+                    continue
+            kept.append(form)
         self.defined.sort()
-        if dropped:
-            kept = [r for r in range(len(rows)) if r not in dropped]
-            at = {r: i for i, r in enumerate(kept)}
-            rows = [rows[r] for r in kept]
-            watch = [[at[r] for r in w if r in at] for w in watch]
-        self.search = _Search(rows, watch, (lo, hi, range(len(rows))))
+        self.search = _layout(kept, lo, hi)
 
 
 class _Kernel:
     """A :class:`ResiliencySystem` compiled once for :func:`substitute`.
 
-    The x rows compile to fixed search rows.  Each mixed row compiles to
-    its scaled x items, its scaled z items (the shift) and its scaled base
-    rhs, so a scenario only moves right-hand sides: rhs = base - B*z, in
-    ints.  The watch lists cover the x rows and then the mixed rows, in
-    the layout :func:`substitute` emits them.  ``root`` is the
-    ``(lo, hi, todo)`` every scenario's search starts from (see the
-    module docstring).
-
-    ``shifts`` holds each mixed row's shift items, ``(z VarId, coeff)``,
-    when the shift memo runs (see the module docstring), else ``None``.
+    The x rows are the search rows of the system's x block, compiled there
+    once.  Each mixed row compiles to its scaled x items, its scaled z
+    items (``form.shift``, B's row) and its scaled base rhs, so a scenario
+    only moves right-hand sides: rhs = base - B*z, in ints.  The watch
+    lists cover the x rows and then the mixed rows, in the layout
+    :func:`substitute` emits them.  ``root`` is the ``(lo, hi, todo)``
+    every scenario's search starts from, and ``memo`` whether the shift
+    memo runs (see the module docstring).
     """
 
     def __init__(self, system: ResiliencySystem):
-        self.zsys = system.z_system()
-        self.zids = [vid for vid, _ in system.z_vars]
-        self.zkeys = set(self.zids)
-        xforms = [_int_row(row) for row in system.rows_x]
-        self.x_rows = [r for form in xforms for r in form.search_rows(form.rhs)]
+        zkeys = system._zwalk.zkeys
         # (compiled row, x coefficients, relation) per mixed row; the x
         # coefficients keep zero entries, as the folded LinearRow does.
         self.mixed = [
             (
-                _int_row(row, self.zkeys),
-                {vid: c for vid, c in row.coeffs.items() if vid not in self.zkeys},
+                _int_row(row, zkeys),
+                {vid: c for vid, c in row.coeffs.items() if vid not in zkeys},
                 row.rel,
             )
             for row in system.rows_xz
         ]
-        self.watch = _watch(
-            len(system.x_vars), xforms + [form for form, _, _ in self.mixed]
+        self.memo = len(self.mixed) < len(zkeys)
+        xsearch = system._xsys._search
+        self.x_rows, xwatch, (lo, hi, todo) = xsearch
+        # The mixed rows go after the x rows.  The layout's root, the x
+        # boxes with every row queued, stays when the x rows have no point.
+        rows, self.watch, self.root = _layout(
+            [form for form, _, _ in self.mixed], lo, hi, xsearch
         )
-        nx = len(self.x_rows)
-        nrows = nx + sum(len(form.sides) for form, _, _ in self.mixed)
-        lo = [b.lower for _, b in system.x_vars]
-        hi = [b.upper for _, b in system.x_vars]
-        xlo, xhi = lo.copy(), hi.copy()
-        xwatch = _watch(len(lo), xforms)
-        if _propagate(self.x_rows, xwatch, xlo, xhi, range(nx)):
-            self.root = (xlo, xhi, range(nx, nrows))
-        else:  # the x rows alone have no point
-            self.root = (lo, hi, range(nrows))
-        self.shifts = None
-        if len(self.mixed) < len(self.zids):
-            self.shifts = [
-                [(self.zids[j], c) for j, c in form.shift]
-                for form, _, _ in self.mixed
-            ]
+        xlo, xhi = lo.copy(), hi.copy()  # the x system's own root stays whole
+        if _propagate(self.x_rows, xwatch, xlo, xhi, todo):
+            self.root = (xlo, xhi, range(len(self.x_rows), len(rows)))
 
 
 class ResiliencyVerdict(NamedTuple):
@@ -292,16 +288,16 @@ def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSyste
     (zero coefficients included) and relation; only the right-hand side
     moves.  x boxes are unchanged.
     """
-    kernel = system._kernel
+    kernel, walk = system._kernel, system._zwalk
     values = scenario.values
     z = None
-    if values.keys() == kernel.zkeys:
-        z = [values[vid] for vid in kernel.zids]
-    if z is None or z != system._zwalk.last:
+    if values.keys() == walk.zkeys:
+        z = [values[vid] for vid in walk.zids]
+    if z is None or z != walk.last:
         # Only the point the walk just yielded is admissible by
         # construction; evaluate checks any other and names its violation.
         try:
-            violation = evaluate(kernel.zsys, scenario)
+            violation = evaluate(system.z_system(), scenario)
         except DomainError as exc:
             raise ScenarioError(f"bad scenario domain: {exc}") from exc
         if violation is not None:
@@ -311,7 +307,8 @@ def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSyste
     for form, xcoeffs, rel in kernel.mixed:
         rhs = form.rhs - sum(c * z[j] for j, c in form.shift)
         rows += form.search_rows(rhs)
-        rhs = Fraction(rhs, form.scale)
+        if form.scale > 1:  # an integral row keeps an int rhs
+            rhs = Fraction(rhs, form.scale)
         folded.append(_build(LinearRow, xcoeffs.copy(), rel, rhs))
     sub = _build(LinearSystem, system.x_vars, system.rows_x + tuple(folded))
     # Seed the cached compiled form, so the solver does not compile again.
@@ -320,7 +317,7 @@ def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSyste
 
 
 def check_resiliency(
-    system: ResiliencySystem, *, max_scenarios: int = 1_000_000
+    system: ResiliencySystem, *, max_scenarios: int = _MAX_SCENARIOS
 ) -> ResiliencyVerdict:
     """Decide resiliency by scenario enumeration plus per-scenario solving.
 
@@ -344,11 +341,13 @@ def check_resiliency(
         if sample is None:
             # Fetched at the first scenario, so a system with none never
             # compiles its kernel.
-            shifts = system._kernel.shifts
+            kernel = system._kernel
             seen = set()
-        if shifts is not None:
-            z = scenario.values
-            key = tuple([sum(c * z[vid] for vid, c in items) for items in shifts])
+        if kernel.memo:
+            z = system._zwalk.last  # the scenario's values, as an int list
+            key = tuple(
+                [sum(c * z[j] for j, c in form.shift) for form, _, _ in kernel.mixed]
+            )
             if key in seen:
                 continue
         x_values = solve_feasibility(substitute(system, scenario))
@@ -356,7 +355,7 @@ def check_resiliency(
             sample = (scenario, x_values)
         if x_values is None:
             return ResiliencyVerdict(False, scenario, checked, sample)
-        if shifts is not None and len(seen) < _MAX_SHIFTS:
+        if kernel.memo and len(seen) < _MAX_SHIFTS:
             seen.add(key)
     return ResiliencyVerdict(True, None, checked, sample)
 

@@ -245,13 +245,9 @@ class LinearSystem(Value):
         :func:`resilp.engine.substitute` sets it on the systems it returns,
         from rows and a root compiled once per partitioned system.
         """
-        forms = [_int_row(row) for row in self.rows]
-        rows = [r for form in forms for r in form.search_rows(form.rhs)]
         lo = [bounds.lower for _, bounds in self.variables]
         hi = [bounds.upper for _, bounds in self.variables]
-        return _Search(
-            rows, _watch(len(self.variables), forms), (lo, hi, range(len(rows)))
-        )
+        return _layout([_int_row(row) for row in self.rows], lo, hi)
 
 
 class IntAssignment(Value):
@@ -398,17 +394,23 @@ class _Search(NamedTuple):
     root: tuple
 
 
-def _watch(n: int, forms: Sequence[_IntRow]) -> list:
-    """Per variable, the positions of the search rows of ``forms`` (laid
-    out in order, as :meth:`_IntRow.search_rows` emits them) that read it."""
-    watch = [[] for _ in range(n)]
-    r = 0
+def _layout(forms: Sequence[_IntRow], lo: list, hi: list, head=None) -> _Search:
+    """``forms`` laid out in order as a search over the boxes ``lo``, ``hi``
+    with every row queued: each form's search rows against its own rhs,
+    after the rows of ``head`` (a search over the same variables) when
+    given, and per variable the positions of the rows that read it.
+
+    With :func:`_int_row` this is the one place rows become a search.
+    """
+    rows, watch = [], [[] for _ in lo]
+    if head is not None:
+        rows, watch = list(head.rows), [w.copy() for w in head.watch]
     for form in forms:
-        for items in form.sides:
+        for r, items in enumerate(form.sides, len(rows)):
             for j, _ in items:
                 watch[j].append(r)
-            r += 1
-    return watch
+        rows += form.search_rows(form.rhs)
+    return _Search(rows, watch, (lo, hi, range(len(rows))))
 
 
 def _propagate(rows, watch, lo, hi, todo) -> bool:

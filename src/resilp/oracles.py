@@ -24,6 +24,10 @@ from .ilp import LinearRow, Rel
 from .scheduling import SchedulingInstance
 from .setcover import RdscpInstance
 
+# Box points (sched: delay-and-assignment pairs) forall_exists_oracle and
+# sched_oracle visit at most when no other cap is given.
+_MAX_POINTS = 10_000_000
+
 
 def _row_holds(row: LinearRow, values) -> bool:
     total = sum(c * values[v] for v, c in row.coeffs.items())
@@ -31,7 +35,7 @@ def _row_holds(row: LinearRow, values) -> bool:
 
 
 def forall_exists_oracle(
-    system: ResiliencySystem, *, max_points: int = 10_000_000
+    system: ResiliencySystem, *, max_points: int = _MAX_POINTS
 ) -> bool:
     """Decide resiliency by enumerating both boxes outright.
 
@@ -336,7 +340,7 @@ def _compositions(total: int, parts: int):
         yield tuple(edges[i + 1] - edges[i] - 1 for i in range(parts))
 
 
-def sched_oracle(inst: SchedulingInstance, *, max_points: int = 10_000_000) -> bool:
+def sched_oracle(inst: SchedulingInstance, *, max_points: int = _MAX_POINTS) -> bool:
     """All delay vectors against all full job assignments."""
     machines = inst.machines
     # delay vectors with sum <= K: compositions of K with one slack part

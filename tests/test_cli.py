@@ -205,6 +205,16 @@ def test_check_scenario_budget_exits_2(tmp_path, capsys):
         assert code == 2 and out == "" and message in err, argv
 
 
+def test_cli_and_the_oracles_share_one_point_budget():
+    # cli keeps its own copy so that a start does not import the oracles
+    from resilp import engine, oracles
+
+    assert cli._MAX_POINTS == oracles._MAX_POINTS
+    assert cli._build_parser()[1]["check"].get_default("max_scenarios") == (
+        engine._MAX_SCENARIOS
+    )
+
+
 RCS_SMALL = {"alphabet": ["a", "b"], "strings": ["aa", "ab"], "d": 1, "m": 1}
 
 

@@ -198,6 +198,7 @@ def test_substitute_folds_adversary_into_rhs():
     assert len(sub.rows) == 1
     row = sub.rows[0]
     assert row.rhs == Fraction(10)  # 4 - (-3)*2
+    assert type(row.rhs) is int  # the row's scale is 1, so no Fraction is built
     assert {v.name for v in row.support()} == {"x"}
     assert [vid.name for vid, _ in sub.variables] == ["x"]
 
@@ -486,10 +487,14 @@ def test_each_block_is_built_once(monkeypatch):
     inst = SchedulingInstance(3, ((1, 2, 3), (2, 1, 2), (3, 3, 1)), (4, 4, 4), 6, 12)
     system = encode(inst)
     assert len(built) == 2  # the x block and the z block
-    zsys = system.z_system()
+    system.z_system()
+    check_resiliency(system)  # the walk and the kernel reuse both blocks
     assert len(built) == 2
-    assert system._kernel.zsys is zsys
-    assert len(built) == 2
+
+
+def test_the_kernel_reuses_the_x_blocks_compiled_search():
+    system = encode(SCHED_SCALED[0])
+    assert system._kernel.x_rows is system._xsys._search.rows
 
 
 def test_substitute_names_the_first_violation():
@@ -808,23 +813,24 @@ def test_shift_rows_are_scaled_from_rationals():
     kernel = sys_._kernel
     shifts = [form.shift for form, _, _ in kernel.mixed]
     assert shifts == [((0, 3), (1, 2)), ((0, 30), (1, 20))]
-    assert kernel.shifts is None
+    assert kernel.memo is False
     assert check_resiliency(sys_) == _unmemoized(sys_)
 
 
 def test_the_memo_runs_only_when_shifts_can_repeat():
     for inst in SCHED_SCALED:  # B has full column rank: 4/4, 3/3, 3/3
-        assert encode(inst)._kernel.shifts is None
+        assert encode(inst)._kernel.memo is False
     for system in (
         _bribery_system(BRIBERY_BA2_B2),
         _rcs_system(RCS_6X4),
         _rcs_system(RCS_8X4_LATE),
     ):
-        assert system._kernel.shifts is not None
-    # the memo key reads only the z variables B reads: 11 of rcs-6x4's 132
-    kernel = _rcs_system(RCS_6X4)._kernel
-    read = {vid for items in kernel.shifts for vid, _ in items}
-    assert read <= kernel.zkeys and (len(read), len(kernel.zids)) == (11, 132)
+        assert system._kernel.memo is True
+    # the memo key reads only the z indexes B reads: 11 of rcs-6x4's 132
+    system = _rcs_system(RCS_6X4)
+    read = {j for form, _, _ in system._kernel.mixed for j, _ in form.shift}
+    assert read <= set(range(len(system.z_vars)))
+    assert (len(read), len(system.z_vars)) == (11, 132)
 
 
 def test_a_system_with_no_scenario_compiles_no_kernel():
@@ -898,8 +904,8 @@ def test_the_walk_computes_the_census_and_yields_the_full_search(
     walk = system._zwalk
     assert len(walk.defined) == defined
     if defined:
-        read = {vid for items in system._kernel.shifts for vid, _ in items}
-        assert {walk.zids[v] for v, *_ in walk.defined} == read
+        read = {j for form, _, _ in system._kernel.mixed for j, _ in form.shift}
+        assert {v for v, *_ in walk.defined} == read
     walked = _walked(system)
     assert len(walked) == points
     assert walked == _full_search(system)
