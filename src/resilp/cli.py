@@ -15,6 +15,7 @@ import importlib
 import json
 import sys
 import time
+import warnings
 from typing import Dict, List, Optional, Tuple
 
 # Only what every `check` runs is imported here: a module-level import
@@ -87,13 +88,24 @@ def _emit(doc, fmt: str) -> None:
 # ------------------------------------------------------- problem dispatch
 
 
+def _read_rcs(module, doc):
+    """The rcs reader, with each warning it gives (the columns it renamed)
+    printed as a plain ``warning:`` line on stderr on every call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read = module.instance_from_dict(doc)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return read
+
+
 # Each problem's module and its reader, which turns a document into the
 # instance and the per-column renaming the rcs reader applies to its
 # strings (empty for every other problem).  Readers take the module, so a
 # reader and the module's `encode` are looked up when called.
 _PROBLEMS = {
     "rdscp": ("setcover", lambda m, doc: (m.RdscpInstance.from_dict(doc), ())),
-    "rcs": ("closest_string", lambda m, doc: m.instance_from_dict(doc)),
+    "rcs": ("closest_string", _read_rcs),
     "sched": ("scheduling", lambda m, doc: (m.SchedulingInstance.from_dict(doc), ())),
     "bribery": ("bribery", lambda m, doc: (m.BriberyInstance.from_dict(doc), ())),
     "policy": (
@@ -502,10 +514,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except ResilpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ResilpError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

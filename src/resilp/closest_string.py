@@ -421,18 +421,13 @@ def decode_solution(
     center = "".join(chars)
     if per_row_distance:
         for i, row in enumerate(corrupted.rows):
-            dist = sum(1 for a, b in zip(center, row) if a != b)
+            dist = type_distance(center, row)
             if dist > inst.d:
                 raise ValidationError(
                     f"center misses string {i} by {dist} > {inst.d}"
                 )
     else:
-        total = sum(
-            1
-            for row in corrupted.rows
-            for a, b in zip(center, row)
-            if a != b
-        )
+        total = sum(type_distance(center, row) for row in corrupted.rows)
         if total > inst.d:
             raise ValidationError(
                 f"total mismatch {total} exceeds the aggregate bound {inst.d}"

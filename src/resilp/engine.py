@@ -36,10 +36,18 @@ kernel: the x block's search rows, watch lists and boxes, and each mixed
 row as a scaled x part, a scaled z part ``form.shift`` (its row of B, by
 z index, the one form B is kept in) and a scaled base right-hand side.
 Per scenario, ``substitute`` computes rhs = base - B*z in ints, and hands
-the solver those rows with the substituted system.  A scenario whose z
-values equal the point the system's walk last yielded is admissible by
-construction and is not checked again.  Any other scenario, including a
-yielded one whose values were changed afterwards, is checked in full by
+the solver those rows with the substituted system.
+
+A compiled system (``_zwalk``, ``_kernel``, the x block's ``_search``)
+is never written after it is built: a check keeps its state in its own
+locals and in the scenarios it yields, so checks of one system may run in
+several threads, and each returns what a lone check returns.  Each
+scenario ``enumerate_scenarios`` yields records its walk and its point,
+as an int list, in its instance dict outside its fields.  A scenario
+whose record names this system's walk (by identity) and whose values
+still equal that list is admissible by construction and is not checked
+again, however far the walk has moved on.  Any other scenario, including
+a yielded one whose values were changed afterwards, is checked in full by
 ``evaluate`` against the z system, which also names its first violation.
 
 The kernel also compiles the root of every scenario's x search once: it
@@ -60,8 +68,8 @@ the mixed rows: the x rows and x boxes stay fixed, and each mixed row's
 rhs is base - shift.  So ``check_resiliency`` keeps, for one call, the
 shifts of the scenarios it found feasible, and counts a later scenario
 with an equal shift as checked without substituting or solving it.  A
-scenario's key sums each ``form.shift`` over the int list the walk just
-yielded.  Only feasible shifts are kept, so the first failing scenario
+scenario's key sums each ``form.shift`` over the int list its own record
+holds.  Only feasible shifts are kept, so the first failing scenario
 is always solved and becomes the witness.  The memo runs only when the
 kernel has fewer mixed rows than z variables: then B's columns are
 linearly dependent, so two distinct z can share a shift.  With at least
@@ -176,15 +184,15 @@ class _ZWalk:
 
     ``zids`` holds the z ids in index order and ``zkeys`` the same as a
     set.  ``defined`` holds ``(v, c, rhs, rest)`` per defined variable, in
-    index order, for v = c * (rhs - rest·z).  ``last`` is the point the
-    walk most recently yielded, which :func:`substitute` need not check.
+    index order, for v = c * (rhs - rest·z).  Nothing here is written
+    after it is built: each yielded scenario records its own point (see
+    the module docstring), so walks of one system may run at once.
     """
 
     def __init__(self, zsys: LinearSystem):
         self.zids = [vid for vid, _ in zsys.variables]
         self.zkeys = frozenset(self.zids)
         self.defined = []
-        self.last = None
         lo = [b.lower for _, b in zsys.variables]
         hi = [b.upper for _, b in zsys.variables]
         forms = [_int_row(row) for row in zsys.rows]
@@ -276,8 +284,9 @@ def enumerate_scenarios(system: ResiliencySystem) -> Iterator[IntAssignment]:
     for z in _walk(walk.search):
         for v, c, q, rest in defined:
             z[v] = c * (q - sum(a * z[j] for j, a in rest))
-        walk.last = z
-        yield _build(IntAssignment, dict(zip(zids, z)))
+        scenario = _build(IntAssignment, dict(zip(zids, z)))
+        vars(scenario)["_walked"] = (walk, z)  # outside the fields
+        yield scenario
 
 
 def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSystem:
@@ -293,9 +302,9 @@ def substitute(system: ResiliencySystem, scenario: IntAssignment) -> LinearSyste
     z = None
     if values.keys() == walk.zkeys:
         z = [values[vid] for vid in walk.zids]
-    if z is None or z != walk.last:
-        # Only the point the walk just yielded is admissible by
-        # construction; evaluate checks any other and names its violation.
+    # A point this system's walk yielded (a _ZWalk compares by identity),
+    # still unchanged, is admissible; evaluate checks any other scenario.
+    if getattr(scenario, "_walked", None) != (walk, z):
         try:
             violation = evaluate(system.z_system(), scenario)
         except DomainError as exc:
@@ -344,7 +353,7 @@ def check_resiliency(
             kernel = system._kernel
             seen = set()
         if kernel.memo:
-            z = system._zwalk.last  # the scenario's values, as an int list
+            z = scenario._walked[1]  # its own point, as an int list
             key = tuple(
                 [sum(c * z[j] for j, c in form.shift) for form, _, _ in kernel.mixed]
             )

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -238,7 +239,6 @@ def test_max_points_where_nothing_enumerates_is_refused(argv, doc, tmp_path, cap
     )
 
 
-@pytest.mark.filterwarnings("ignore:columns renamed during normalization")
 def test_aggregate_distance_reaches_encoder_and_oracle(tmp_path, capsys):
     # after any one changed cell some center is within 1 of every string,
     # but not always one whose mismatches over all strings total 1
@@ -573,22 +573,26 @@ def test_text_format(tmp_path, capsys):
 def test_rcs_ingest_normalization_warns(tmp_path, capsys):
     doc = {"alphabet": ["a", "b"], "strings": ["ab", "ab"], "d": 0, "m": 0}
     path = write(tmp_path, doc)
-    with pytest.warns(UserWarning):
-        code = main(["check", "--problem", "rcs", path])
-    capsys.readouterr()
-    assert code == 0
+    # a plain line on stderr, on every call, and no Python warning
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "check", "--problem", "rcs", path)
+        assert code == 0
+        assert err == "warning: columns renamed during normalization: 1\n"
 
 
 def test_rcs_decode_shows_the_input_symbols(tmp_path, capsys):
     # both columns are renamed on reading; the first scenario moves nothing
     doc = {"alphabet": ["a", "b"], "strings": ["bb", "ba", "ab"], "d": 1, "m": 1}
     path = write(tmp_path, doc)
-    with pytest.warns(UserWarning, match="columns renamed"):
-        code, out, _ = run(capsys, "check", "--problem", "rcs", path, "--decode")
-    decoded = json.loads(out)["decoded"]
-    assert code == 0
-    assert decoded["adversary"] == {"corrupted": ["bb", "ba", "ab"]}
-    assert decoded["solution"] == {"center": "bb"}
+    for _ in range(2):
+        code, out, err = run(capsys, "check", "--problem", "rcs", path, "--decode")
+        decoded = json.loads(out)["decoded"]
+        assert code == 0
+        assert err == "warning: columns renamed during normalization: 0, 1\n"
+        assert decoded["adversary"] == {"corrupted": ["bb", "ba", "ab"]}
+        assert decoded["solution"] == {"center": "bb"}
 
 
 def test_parser_is_built_once_across_calls(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -992,3 +994,105 @@ def test_substitute_checks_a_point_from_another_systems_walk():
     assert other.by_name() == {"z": 3, "w": 0} != last.by_name()
     with pytest.raises(ScenarioError, match="row 0 violated"):
         substitute(strict, other)
+
+
+# ------------------------------------------------- interleaved walks
+
+
+def _interleaved(monkeypatch, step):
+    """Make ``engine.enumerate_scenarios`` run other walks of the same
+    system between its yields, as a thread switch would: before it hands
+    over its i-th scenario, ``step(i, start)`` may start walks (``start()``
+    returns a new one) and advance them."""
+    real = engine.enumerate_scenarios
+
+    def walk(system):
+        for i, scenario in enumerate(real(system)):
+            step(i, lambda: real(system))
+            yield scenario
+
+    monkeypatch.setattr(engine, "enumerate_scenarios", walk)
+
+
+def _one_unit():
+    """x + z1 + z2 <= 1 on unit boxes: (1, 1) asks for x = -1, and the
+    point before it, (1, 0), shares the shift of (0, 1), which has an
+    answer."""
+    return _rsys(
+        [("x", 0, 1)],
+        [("z1", 0, 1), ("z2", 0, 1)],
+        rows_xz=[({"x": 1, "z1": 1, "z2": 1}, Rel.LEQ, 1)],
+    )
+
+
+def test_a_second_walk_one_point_behind_changes_no_answer(monkeypatch):
+    sys_ = _one_unit()
+    alone = check_resiliency(sys_)
+    assert not alone.resilient and alone.scenarios_checked == 4
+    behind = []
+
+    def step(i, start):
+        if i == 0:
+            behind.append(start())
+        else:
+            next(behind[0])
+
+    _interleaved(monkeypatch, step)
+    assert check_resiliency(sys_) == alone
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_seeded_interleavings_keep_the_witness_of_a_lone_check(seed, monkeypatch):
+    system = _rcs_system(RCS_8X4_LATE)
+    alone = check_resiliency(system)
+    assert not alone.resilient and alone.scenarios_checked == 22
+    rng = random.Random(seed)
+    others = []
+
+    def step(i, start):
+        if rng.random() < 0.3:
+            others.append(start())
+        for _ in range(rng.randint(0, 3) if others else 0):
+            next(rng.choice(others), None)
+
+    _interleaved(monkeypatch, step)
+    assert check_resiliency(system) == alone
+
+
+def test_substitute_folds_an_earlier_point_of_the_walk_without_evaluate(
+    monkeypatch,
+):
+    sys_ = _capped()
+    walk = enumerate_scenarios(sys_)
+    first, second = next(walk), next(walk)
+    assert (first.by_name(), second.by_name()) == ({"z": 0, "w": 0}, {"z": 0, "w": 1})
+    next(enumerate_scenarios(sys_))  # another walk of the system moves on too
+
+    def refused(*args):
+        raise AssertionError("evaluate ran on a point the walk yielded")
+
+    monkeypatch.setattr(engine, "evaluate", refused)
+    assert substitute(sys_, first).rows[0].rhs == 0
+    assert substitute(sys_, second).rows[0].rhs == 0
+
+
+def test_threads_checking_one_system_each_get_the_answer_of_a_lone_check():
+    sys_ = _one_unit()
+    alone = check_resiliency(sys_)
+    answers = []
+
+    def checks():
+        answers.extend(check_resiliency(sys_) for _ in range(50))
+
+    threads = [threading.Thread(target=checks) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as CPython can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [alone] * 400

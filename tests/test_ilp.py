@@ -608,6 +608,7 @@ def test_value_classes_compare_hash_print_and_stay_frozen():
     assert VarBounds(0, 1) != VarId(0, 1) and VarBounds(0, 1) != (0, 1)
     assert Violation() == Violation(row=None, var=None) != Violation(row=0)
     assert repr(x) == "VarId(index=0, name='x')"
+    assert repr(VarBounds(0, 1)) == "VarBounds(lower=0, upper=1)"
     assert repr(Violation(row=2)) == "Violation(row=2, var=None)"
     assert str(Violation(var=x)) == "bound of 'x' violated"
     verdict = ResiliencyVerdict(True, None, 3)
