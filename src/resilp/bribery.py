@@ -78,9 +78,7 @@ class Election(Value):
             if sorted(order) != full:
                 raise ValidationError(f"not a permutation of 1..{m}: {order}")
             clean[order] = clean.get(order, 0) + require_int(count, "voter counts", 0)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "census", clean)
-        object.__setattr__(self, "scoring", scoring)
+        Value.__init__(self, m, clean, scoring)
 
     @property
     def voters(self) -> int:
@@ -107,9 +105,7 @@ class BriberyInstance(Value):
     def __init__(self, election: Election, ba: int, b: int):
         require_int(ba, "ba", 0)
         require_int(b, "b", 0)
-        object.__setattr__(self, "election", election)
-        object.__setattr__(self, "ba", ba)
-        object.__setattr__(self, "b", b)
+        Value.__init__(self, election, ba, b)
 
     @staticmethod
     def from_dict(doc) -> "BriberyInstance":

@@ -54,7 +54,7 @@ class Alphabet(Value):
                 raise ValidationError(f"alphabet symbol must be one character: {sym!r}")
         if len(set(symbols)) != len(symbols):
             raise ValidationError("alphabet symbols must be distinct")
-        object.__setattr__(self, "symbols", symbols)
+        Value.__init__(self, symbols)
 
     def index(self, sym: str) -> int:
         return self.symbols.index(sym)
@@ -81,8 +81,7 @@ class StringMatrix(Value):
                 raise ValidationError(
                     f"symbols outside the alphabet: {sorted(stray)}"
                 )
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "rows", rows)
+        Value.__init__(self, alphabet, rows)
 
     @property
     def k(self) -> int:
@@ -204,9 +203,7 @@ class RcsInstance(Value):
         require_int(d, "distance bound d", 0)
         require_int(m, "change budget m", 0, matrix.k * matrix.length)
         column_types(matrix)  # raises NormalizationError when not normalized
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "m", m)
+        Value.__init__(self, matrix, d, m)
 
     def to_dict(self) -> dict:
         return {

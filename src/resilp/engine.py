@@ -49,6 +49,9 @@ still equal that list is admissible by construction and is not checked
 again, however far the walk has moved on.  Any other scenario, including
 a yielded one whose values were changed afterwards, is checked in full by
 ``evaluate`` against the z system, which also names its first violation.
+A copy or pickle of a scenario holds its values only (see
+:class:`~resilp.ilp.Value`), so it has no record and is checked in full;
+a copied system compiles again when it is first used.
 
 The kernel also compiles the root of every scenario's x search once: it
 propagates the x block's rows alone from its boxes, over its own watch
@@ -142,11 +145,9 @@ class ResiliencySystem(Value):
         for r, row in enumerate(rows_xz):
             if not row.support() <= known:
                 raise ValidationError(f"xz-row {r} references unknown variables")
-        object.__setattr__(self, "x_vars", xsys.variables)
-        object.__setattr__(self, "z_vars", zsys.variables)
-        object.__setattr__(self, "rows_x", xsys.rows)
-        object.__setattr__(self, "rows_xz", rows_xz)
-        object.__setattr__(self, "rows_z", zsys.rows)
+        Value.__init__(
+            self, xsys.variables, zsys.variables, xsys.rows, rows_xz, zsys.rows
+        )
         object.__setattr__(self, "_xsys", xsys)
         object.__setattr__(self, "_zsys", zsys)
 

@@ -48,11 +48,7 @@ class SchedulingInstance(Value):
                 raise ValidationError(
                     f"type {t} needs a time for each of {machines} machines"
                 )
-        object.__setattr__(self, "machines", machines)
-        object.__setattr__(self, "ptimes", ptimes)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "cmax", cmax)
+        Value.__init__(self, machines, ptimes, counts, K, cmax)
 
     @property
     def ntypes(self) -> int:

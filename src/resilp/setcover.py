@@ -51,11 +51,7 @@ class RdscpInstance(Value):
         require_int(s, "removal budget s", 0)
         require_int(d, "cover count d", 1)
         require_int(t, "cover size cap t", 1)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "t", min(t, n))
+        Value.__init__(self, n, family, s, d, min(t, n))
 
     @classmethod
     def from_dict(cls, doc) -> "RdscpInstance":
@@ -324,13 +320,7 @@ class AuthorizationPolicy(Value):
                 raise ValidationError(f"authorization ({u!r}, {r!r}) is dangling")
         if not set(p) <= res:
             raise ValidationError("protected resources must be resources")
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "resources", resources)
-        object.__setattr__(self, "vr", vr)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "t", t)
+        Value.__init__(self, users, resources, vr, p, s, d, t)
 
     @classmethod
     def from_dict(cls, doc) -> "AuthorizationPolicy":
