@@ -14,11 +14,15 @@ search over variables in index order, run on an explicit stack rather than
 by recursion, with row-based interval propagation: a branch dies as soon
 as some row's minimal achievable left-hand side exceeds its right-hand
 side.  Propagation is queue-driven: a child box starts from its parent's
-fixpoint, so only the rows that read a variable just fixed or tightened
-are scanned again.  The root box is the variable boxes with every row
-queued, unless the compiled system names a narrower root: a box at the
-fixpoint of some of its rows, with every other row queued.  The
-resiliency engine starts each scenario from the fixpoint of its x rows.
+fixpoint, so only the rows that read a bound just moved are scanned
+again.  The wake follows the bound that moved: a row reads a variable's
+lower bound where its coefficient is positive and its upper bound where
+it is negative, so lowering an upper bound wakes only the latter rows,
+and raising a lower bound only the former.  The root box is the variable
+boxes with every row queued, unless the compiled system names a narrower
+root: a box at the fixpoint of some of its rows, with every other row
+queued.  The resiliency engine starts each scenario from the fixpoint of
+its x rows.
 
 The value classes check their fields when a caller builds them; the
 values the solver and the engine build from checked parts skip the
@@ -112,8 +116,14 @@ class Value:
     _fields: Tuple[str, ...] = ()
 
     def __init__(self, *fields):
+        # A len compare costs less than zip(..., strict=True) per value.
+        if len(fields) != len(self._fields):
+            raise ValueError(
+                f"{type(self).__qualname__} has {len(self._fields)} fields, "
+                f"got {len(fields)}"
+            )
         # object.__setattr__ keeps the fields where CPython reads them fastest.
-        for name, value in zip(self._fields, fields, strict=True):
+        for name, value in zip(self._fields, fields):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
@@ -393,11 +403,14 @@ def _int_row(row: LinearRow, folded=frozenset()) -> _IntRow:
 
 class _Search(NamedTuple):
     """A system compiled for the search: its search rows, per variable
-    index the positions of the rows that read that variable, and the
-    root ``(lo, hi, todo)``: the box the search starts from and the rows
-    to scan there.  The root box is the variable boxes with every row
-    queued, or a box where the rows left out of ``todo`` are already at
-    their fixpoint (see :func:`_propagate`)."""
+    index ``j`` the watch pair ``(up, down)`` of the positions of the rows
+    that read it, and the root ``(lo, hi, todo)``: the box the search
+    starts from and the rows to scan there.  ``up`` holds the rows where
+    j's coefficient is positive, whose minimal lhs reads ``lo[j]``;
+    ``down`` the rows where it is negative, which read ``hi[j]``.  A moved
+    bound wakes only the rows that read it (see :func:`_propagate`).  The
+    root box is the variable boxes with every row queued, or a box where
+    the rows left out of ``todo`` are already at their fixpoint."""
 
     rows: list
     watch: list
@@ -408,17 +421,18 @@ def _layout(forms: Sequence[_IntRow], lo: list, hi: list, head=None) -> _Search:
     """``forms`` laid out in order as a search over the boxes ``lo``, ``hi``
     with every row queued: each form's search rows against its own rhs,
     after the rows of ``head`` (a search over the same variables) when
-    given, and per variable the positions of the rows that read it.
+    given, and per variable the watch pair of the rows that read it.
 
     With :func:`_int_row` this is the one place rows become a search.
     """
-    rows, watch = [], [[] for _ in lo]
+    rows, watch = [], [([], []) for _ in lo]
     if head is not None:
-        rows, watch = list(head.rows), [w.copy() for w in head.watch]
+        rows = list(head.rows)
+        watch = [(up.copy(), down.copy()) for up, down in head.watch]
     for form in forms:
         for r, items in enumerate(form.sides, len(rows)):
-            for j, _ in items:
-                watch[j].append(r)
+            for j, c in items:
+                watch[j][c < 0].append(r)
         rows += form.search_rows(form.rhs)
     return _Search(rows, watch, (lo, hi, range(len(rows))))
 
@@ -434,11 +448,14 @@ def _propagate(rows, watch, lo, hi, todo) -> bool:
     :func:`_int_row`, so all arithmetic is on ints.
 
     Only the rows in ``todo`` are scanned at first; a row is scanned again
-    when a variable it reads is tightened.  The greatest common fixpoint of
-    the cuts is unique, so this reaches the same boxes as sweeping every
-    row until nothing changes, provided every row left out of ``todo``
-    already holds at its fixpoint (the caller's box differs from one such
-    box only in variables the ``todo`` rows read).
+    when a bound it reads moves: lowering ``hi[j]`` queues ``watch[j][1]``,
+    raising ``lo[j]`` queues ``watch[j][0]``.  A row that does not read the
+    moved bound keeps its minimal lhs and so its slack, and its own cut on
+    j meets a bound that only moved inward, so it stays at its fixpoint.
+    The greatest common fixpoint of the cuts is unique, so this reaches the
+    same boxes as sweeping every row until nothing changes, provided every
+    row left out of ``todo`` already holds at its fixpoint (the caller's
+    box differs from one such box only in bounds the ``todo`` rows read).
     """
     todo = list(todo)
     queued = set(todo)
@@ -460,12 +477,14 @@ def _propagate(rows, watch, lo, hi, todo) -> bool:
                 if cap >= hi[j]:
                     continue
                 hi[j] = cap
+                woken = watch[j][1]
             else:
                 floor_ = hi[j] - slack // -c
                 if floor_ <= lo[j]:
                     continue
                 lo[j] = floor_
-            for w in watch[j]:
+                woken = watch[j][0]
+            for w in woken:
                 if w not in queued:
                     queued.add(w)
                     todo.append(w)
@@ -473,13 +492,20 @@ def _propagate(rows, watch, lo, hi, todo) -> bool:
     return True
 
 
-def _branches(lo, hi, k):
-    """Child boxes of (lo, hi) that fix variable k, in ascending value order."""
-    for v in range(lo[k], hi[k] + 1):
+def _branches(lo, hi, k, watch):
+    """Child boxes of (lo, hi) that fix the open variable k, in ascending
+    value order, each with the rows to scan first: the rows that read a
+    bound of k the child moved.  Fixing k at ``lo[k]`` lowers only
+    ``hi[k]``, at ``hi[k]`` it raises only ``lo[k]``, and in between it
+    moves both."""
+    up, down = watch[k]
+    both = up + down
+    first, last = lo[k], hi[k]
+    for v in range(first, last + 1):
         nlo = lo.copy()
         nhi = hi.copy()
         nlo[k] = nhi[k] = v
-        yield nlo, nhi, k
+        yield nlo, nhi, k, down if v == first else up if v == last else both
 
 
 def _walk(search: _Search) -> Iterator[list]:
@@ -495,17 +521,16 @@ def _walk(search: _Search) -> Iterator[list]:
     # One lazy child iterator per open level: the top one yields the next
     # sibling to visit, so points come out in lexicographic order and only
     # the boxes on the current path are held in memory.  A box carries the
-    # variable its parent branched on (-1 at the root).
-    stack = [iter([(lo.copy(), hi.copy(), -1)])]
+    # variable its parent branched on (-1 at the root) and the rows to scan
+    # first: a child box is its parent's fixpoint with variable k fixed, so
+    # only the rows that read a bound of k it moved.
+    stack = [iter([(lo.copy(), hi.copy(), -1, root)])]
     while stack:
         box = next(stack[-1], None)
         if box is None:
             stack.pop()
             continue
-        lo, hi, k = box
-        # A child box is its parent's fixpoint with variable k fixed, so
-        # only the rows that read k need scanning first.
-        todo = watch[k] if k >= 0 else root
+        lo, hi, k, todo = box
         if not _propagate(rows, watch, lo, hi, todo):
             continue
         # Variables before k were fixed at the parent; k is fixed now.
@@ -513,7 +538,7 @@ def _walk(search: _Search) -> Iterator[list]:
         if k is None:
             yield lo
         else:
-            stack.append(_branches(lo, hi, k))
+            stack.append(_branches(lo, hi, k, watch))
 
 
 def iter_feasible(system: LinearSystem) -> Iterator[IntAssignment]:

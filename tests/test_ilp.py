@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from resilp import ilp
 from resilp.closest_string import ColumnType
 from resilp.engine import (
     ResiliencySystem,
@@ -31,6 +32,7 @@ from resilp.ilp import (
     Violation,
     _int_row,
     _propagate,
+    _walk,
     evaluate,
     read_transfer,
     transfer,
@@ -366,9 +368,10 @@ def _full_sweep(rows, lo, hi):
 
 def test_queue_propagation_matches_full_sweep():
     rng = random.Random(0x0B0E)
-    roots = children = 0
+    roots = 0
+    children = {"lower end": 0, "upper end": 0, "interior": 0}
     for _ in range(300):
-        sys_ = _random_rational_resiliency(rng, max_vars=3, max_rows=4)
+        sys_ = _random_rational_resiliency(rng, max_vars=3, max_rows=6)
         systems = [sys_.z_system(), LinearSystem(sys_.x_vars, sys_.rows_x)]
         for scenario in itertools.islice(enumerate_scenarios(sys_), 3):
             systems.append(substitute(sys_, scenario))
@@ -388,19 +391,123 @@ def test_queue_propagation_matches_full_sweep():
             if not ok:
                 continue
             assert (lo, hi) == ref
-            # a child of that fixpoint: fix one open variable, rescan its rows
-            open_ = [j for j in range(len(lo)) if lo[j] < hi[j]]
-            if not open_:
-                continue
-            k = rng.choice(open_)
-            lo[k] = hi[k] = rng.randint(lo[k], hi[k])
-            ref = (lo.copy(), hi.copy())
-            ok = _propagate(rows, watch, lo, hi, watch[k])
-            assert ok == _full_sweep(rows, *ref)
-            if ok:
-                assert (lo, hi) == ref
-            children += 1
-    assert roots > 500 and children > 100
+            # children of that fixpoint: fix an open variable k at each end
+            # of its box and inside it, and rescan the rows that read the
+            # bound of k the child moved
+            cases = []
+            for k in range(len(lo)):
+                up, down = watch[k]
+                if lo[k] < hi[k]:
+                    cases += [("lower end", k, lo[k], down), ("upper end", k, hi[k], up)]
+                if lo[k] + 1 < hi[k]:
+                    v = rng.randint(lo[k] + 1, hi[k] - 1)
+                    cases.append(("interior", k, v, up + down))
+            for case, k, v, woken in cases:
+                clo, chi = lo.copy(), hi.copy()
+                clo[k] = chi[k] = v
+                ref = (clo.copy(), chi.copy())
+                ok = _propagate(rows, watch, clo, chi, woken)
+                assert ok == _full_sweep(rows, *ref)
+                if ok:
+                    assert (clo, chi) == ref
+                children[case] += 1
+    assert roots > 500 and min(children.values()) > 30, children
+
+
+def test_a_cut_wakes_the_rows_that_read_the_bound_it_moved():
+    # the first row is scanned before the second cuts a; only a rescan of
+    # the first row, which reads the bound of a that moved, cuts b
+    a, b = VarId(0, "a"), VarId(1, "b")
+    cases = [
+        # b <= a, then a <= 0: hi[a] falls, and b follows it down
+        ([({a: -1, b: 1}, Rel.LEQ, 0), ({a: 1}, Rel.LEQ, 0)], [0, 0], [0, 0]),
+        # a <= b, then a >= 2: lo[a] rises, and b follows it up
+        ([({a: 1, b: -1}, Rel.LEQ, 0), ({a: -1}, Rel.LEQ, -2)], [2, 2], [2, 2]),
+    ]
+    for specs, want_lo, want_hi in cases:
+        system = LinearSystem(
+            make_vars([("a", 0, 2), ("b", 0, 2)]),
+            tuple(LinearRow(*spec) for spec in specs),
+        )
+        rows, watch, (lo, hi, todo) = system._search
+        lo, hi = lo.copy(), hi.copy()
+        assert _propagate(rows, watch, lo, hi, todo)
+        assert (lo, hi) == (want_lo, want_hi)
+
+
+def _assert_waking_every_reader_changes_nothing(searches, monkeypatch):
+    """Each ``(search, limit)`` walks the same points, up to its first
+    ``limit`` (None: all), in the same order, through the same number of
+    propagation passes as with every row that reads a variable woken by
+    any move of either bound.  Returns the number of searches walked."""
+    passes = 0
+    real = ilp._propagate
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return real(*args)
+
+    monkeypatch.setattr(ilp, "_propagate", counted)
+    walked = 0
+    for search, limit in searches:
+        every = [(up + down, up + down) for up, down in search.watch]
+        runs = []
+        for variant in (search, search._replace(watch=every)):
+            passes = 0
+            runs.append((list(itertools.islice(_walk(variant), limit)), passes))
+        assert runs[0] == runs[1]
+        walked += 1
+    return walked
+
+
+def _searches(system, limit=10):
+    """``(search, limit)`` pairs of a partitioned system: its z walk in
+    full, then its x block's own search and each scenario's substituted
+    search up to their first ``limit`` points (an x block can have too
+    many to walk them all)."""
+    yield system._zwalk.search, None
+    yield system._xsys._search, limit
+    for scenario in enumerate_scenarios(system):
+        yield substitute(system, scenario)._search, limit
+
+
+def test_wake_by_moved_bound_matches_waking_every_reader_on_the_rational_sweep(
+    monkeypatch,
+):
+    rng = random.Random(0x51DE)
+    systems = [_random_rational_resiliency(rng, max_rows=4) for _ in range(400)]
+    searches = [s for sys_ in systems for s in _searches(sys_)]
+    searches += [(sys_.z_system()._search, None) for sys_ in systems]
+    # three searches per system and 549 scenarios
+    assert _assert_waking_every_reader_changes_nothing(searches, monkeypatch) == 1749
+
+
+def test_wake_by_moved_bound_matches_waking_every_reader_on_the_suites(monkeypatch):
+    from test_engine import _acceptance_suites
+
+    searches = (s for system, _ in _acceptance_suites() for s in _searches(system))
+    # two searches per system and 1,526 scenarios
+    assert _assert_waking_every_reader_changes_nothing(searches, monkeypatch) == 2646
+
+
+def test_wake_by_moved_bound_matches_waking_every_reader_on_the_bench(monkeypatch):
+    from test_engine import (
+        BRIBERY_BA2_B2,
+        RCS_6X4,
+        RCS_8X4_LATE,
+        SCHED_SCALED,
+        _bribery_system,
+        _rcs_system,
+    )
+    from resilp.scheduling import encode
+
+    systems = [encode(inst) for inst in SCHED_SCALED]
+    systems += [_bribery_system(BRIBERY_BA2_B2)]
+    systems += [_rcs_system(RCS_6X4), _rcs_system(RCS_8X4_LATE)]
+    searches = (s for system in systems for s in _searches(system))
+    # two searches per system and 495 + 84 + 120 + 50 + 124 + 190 scenarios
+    assert _assert_waking_every_reader_changes_nothing(searches, monkeypatch) == 1075
 
 
 def test_gcd_tightening_settles_parity_rows_at_once():

@@ -152,6 +152,13 @@ def test_a_copied_walked_scenario_is_checked_in_full(monkeypatch, how):
     assert len(calls) == 1
 
 
+def test_a_wrong_field_count_raises():
+    for fields in ((0,), (0, 1, 2)):
+        message = f"VarBounds has 2 fields, got {len(fields)}"
+        with pytest.raises(ValueError, match=message):
+            Value.__init__(object.__new__(VarBounds), *fields)
+
+
 def test_only_value_init_stores_a_public_field():
     # object.__setattr__ with anything but a private name ("_xsys") is a
     # second store of a field, unless it is the loop by _fields in
